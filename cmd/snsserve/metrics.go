@@ -333,7 +333,7 @@ func writeMetrics(w io.Writer, m slicenstitch.EngineMetrics, hs *httpStats, proc
 	// engine-level synced gauge plus per-stream lag/bootstrap/reconnect
 	// series for every stream with a running tailer).
 	if m.Follower != nil {
-		p.family("sns_replication_synced", "1 once the follower has reconciled its stream set against the leader at least once.", "gauge",
+		p.family("sns_replication_synced", "1 once the follower has reconciled its stream set against the leader and every listed stream exists locally.", "gauge",
 			series{value: b2f(m.Follower.Synced)})
 		var replStreams []slicenstitch.StreamMetrics
 		for _, sm := range m.Streams {

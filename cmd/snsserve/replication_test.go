@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,6 +93,64 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/readyz", &ready); resp.StatusCode != http.StatusOK || !ready.Ready {
 		t.Fatalf("readyz = %d %+v", resp.StatusCode, ready)
+	}
+}
+
+// TestFollowerNotReadyWhileBootstrapping is the regression test for a
+// follower reporting ready too early: with the leader's bootstrap endpoint
+// held, the stream set has synced but the stream is not yet in the
+// follower's engine, so /readyz must answer 503 — and once it answers 200,
+// the stream must be listed.
+func TestFollowerNotReadyWhileBootstrapping(t *testing.T) {
+	leader, _, lsrv := newLeaderServer(t)
+	fillWindow(t, lsrv, "/v1")
+	requested, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	mux := newMux(leader, 1024)
+	gated := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/checkpoint") {
+			once.Do(func() { close(requested) })
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		mux.ServeHTTP(rw, r)
+	}))
+	defer gated.Close()
+
+	follower, fsrv := openFollower(t, t.TempDir(), gated.URL)
+	defer func() {
+		fsrv.Close()
+		follower.Close()
+	}()
+	select {
+	case <-requested:
+	case <-time.After(20 * time.Second):
+		t.Fatal("follower never requested a bootstrap")
+	}
+	// Several reconciles (SyncEvery is 20ms) complete while the bootstrap
+	// is held; none may flip readiness.
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(fsrv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("readyz = %d while the stream is still bootstrapping, want 503", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if m := follower.Metrics(); m.Follower == nil || m.Follower.Synced {
+		t.Fatalf("follower view %+v: synced before its stream exists", m.Follower)
+	}
+	close(release)
+	waitReady(t, fsrv)
+	var fstat slicenstitch.Snapshot
+	if resp := getJSON(t, fsrv.URL+"/v1/streams/test/status", &fstat); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follower status = %d once ready", resp.StatusCode)
 	}
 }
 

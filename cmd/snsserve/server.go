@@ -327,9 +327,10 @@ func newMux(e *slicenstitch.Engine, readyMaxLag uint64) *http.ServeMux {
 
 // readyHandler serves GET /readyz. A leader is ready as soon as it
 // serves (Open returns only after recovery). A follower is ready once
-// its stream set has synced from the leader and every stream is tailing
-// with lag ≤ maxLag LSNs; until then it answers 503 so load balancers
-// keep reads off a stale replica.
+// its stream set has synced from the leader — every stream the last
+// reconcile listed exists locally, so none is still bootstrapping — and
+// every stream is tailing with lag ≤ maxLag LSNs; until then it answers
+// 503 so load balancers keep reads off a stale replica.
 func readyHandler(e *slicenstitch.Engine, maxLag uint64) http.HandlerFunc {
 	return func(rw http.ResponseWriter, _ *http.Request) {
 		m := e.Metrics()
@@ -340,7 +341,7 @@ func readyHandler(e *slicenstitch.Engine, maxLag uint64) http.HandlerFunc {
 		}
 		if m.Follower != nil {
 			if !m.Follower.Synced {
-				notReady("stream set not yet synced from leader")
+				notReady("stream set not yet synced from leader (or a listed stream is still bootstrapping)")
 				return
 			}
 			for _, sm := range m.Streams {

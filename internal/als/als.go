@@ -40,15 +40,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Workspace holds the MTTKRP outputs (one per mode — row counts differ),
-// the Hadamard-of-Grams buffer, and the per-nonzero Khatri-Rao scratch an
-// ALS sweep reuses, so repeated sweeps over the same shape (Run's
-// iterations, SNS_MAT's per-event sweep, PeriodicALS's refits) stop
-// re-allocating their two largest intermediates every mode.
+// Workspace holds the MTTKRP outputs (one per mode — row counts differ)
+// and the Hadamard-of-Grams buffer an ALS sweep reuses, so repeated
+// sweeps over the same shape (Run's iterations, SNS_MAT's per-event
+// sweep, PeriodicALS's refits) stop re-allocating their two largest
+// intermediates every mode.
 type Workspace struct {
-	u       []*mat.Dense
-	h       *mat.Dense
-	scratch []float64
+	u []*mat.Dense
+	h *mat.Dense
 }
 
 // NewWorkspace sizes a Workspace for tensors of the given shape and rank.
@@ -57,7 +56,7 @@ func NewWorkspace(shape []int, rank int) *Workspace {
 	for m, n := range shape {
 		u[m] = mat.New(n, rank)
 	}
-	return &Workspace{u: u, h: mat.New(rank, rank), scratch: make([]float64, rank)}
+	return &Workspace{u: u, h: mat.New(rank, rank)}
 }
 
 // Run factorizes x with ALS and returns a model with column-normalized
@@ -114,7 +113,7 @@ func UpdateMode(x *tensor.Sparse, model *cpd.Model, grams []*mat.Dense, m int) {
 // the Hadamard product of Grams land in the workspace buffers instead of
 // fresh matrices.
 func UpdateModeWS(x *tensor.Sparse, model *cpd.Model, grams []*mat.Dense, m int, ws *Workspace) {
-	u := cpd.MTTKRPInto(ws.u[m], x, model.Factors, m, ws.scratch)
+	u := cpd.MTTKRPInto(ws.u[m], x, model.Factors, m)
 	h := cpd.GramsExceptInto(ws.h, grams, m)
 	hp := mat.PseudoInverseSym(h)
 	a := mat.Mul(u, hp)

@@ -54,7 +54,7 @@ func NewCPStream(x0 *tensor.Sparse, init *cpd.Model, mu float64) *CPStream {
 	for mode := 0; mode < tm; mode++ {
 		// Start the history from the initial window; the Into targets
 		// become the owned accumulators.
-		s.c[mode] = cpd.MTTKRPInto(mat.New(m.Factors[mode].Rows(), m.Rank()), x0, m.Factors, mode, s.krBuf)
+		s.c[mode] = cpd.MTTKRPInto(mat.New(m.Factors[mode].Rows(), m.Rank()), x0, m.Factors, mode)
 		s.g[mode] = cpd.GramsExceptInto(mat.New(m.Rank(), m.Rank()), s.grams, mode)
 	}
 	return s

@@ -140,7 +140,7 @@ func (o *OnlineSCP) OnPeriod(x *tensor.Sparse) {
 		// Jacobi-style parallel update; on dense windows it overshoots and
 		// oscillates, which is why the sequential order is the default.)
 		for mode := 0; mode < tm; mode++ {
-			cpd.MTTKRPInto(o.p[mode], x, o.model.Factors, mode, o.krBuf)
+			cpd.MTTKRPInto(o.p[mode], x, o.model.Factors, mode)
 			hm := ridge(cpd.GramsExceptInto(o.hBuf, o.grams, mode))
 			hp := mat.PseudoInverseSym(hm)
 			o.model.Factors[mode] = mat.Mul(o.p[mode], hp)

@@ -136,13 +136,14 @@ func (m *Model) NormSquared() float64 {
 	return s
 }
 
-// InnerProduct returns ⟨X, X̃⟩ summed over the nonzeros of X.
+// InnerProduct returns ⟨X, X̃⟩ summed over the nonzeros of X: one flat
+// pass over X's span accumulating x_J·x̃_J, with x̃_J evaluated exactly as
+// Predict does (see sweep.go).
 func (m *Model) InnerProduct(x *tensor.Sparse) float64 {
-	s := 0.0
-	x.ForEachNonzero(func(coord []int, v float64) {
-		s += v * m.Predict(coord)
-	})
-	return s
+	if m.Order() != 3 {
+		return innerProductAny(x, m.Lambda, m.Factors)
+	}
+	return innerProduct3(x, m.Lambda, m.Factors)
 }
 
 // FoldLambda absorbs the column weights λ evenly into the factors (each

@@ -14,35 +14,20 @@ import (
 // (Algorithm 2, line 2). It allocates its result; repeated callers should
 // hold buffers and use MTTKRPInto.
 func MTTKRP(x *tensor.Sparse, factors []*mat.Dense, mode int) *mat.Dense {
-	r := factors[0].Cols()
-	out := mat.New(factors[mode].Rows(), r)
-	return MTTKRPInto(out, x, factors, mode, make([]float64, r))
+	return MTTKRPInto(mat.New(factors[mode].Rows(), factors[0].Cols()), x, factors, mode)
 }
 
-// MTTKRPInto is MTTKRP into a preallocated dst (zeroed here) with an
-// R-length scratch for the per-nonzero Khatri-Rao row — the
-// allocation-free form for callers that recompute whole-mode MTTKRPs
-// repeatedly (ALS sweeps, the streaming baselines).
-func MTTKRPInto(dst *mat.Dense, x *tensor.Sparse, factors []*mat.Dense, mode int, scratch []float64) *mat.Dense {
+// MTTKRPInto is MTTKRP into a preallocated dst (zeroed here), for callers
+// that recompute whole-mode MTTKRPs repeatedly into held buffers (ALS
+// sweeps, the streaming baselines). It is one flat pass over X's span
+// (see sweep.go); the order-3 pass allocates nothing.
+func MTTKRPInto(dst *mat.Dense, x *tensor.Sparse, factors []*mat.Dense, mode int) *mat.Dense {
 	dst.Zero()
-	x.ForEachNonzero(func(coord []int, v float64) {
-		for k := range scratch {
-			scratch[k] = v
-		}
-		for n, f := range factors {
-			if n == mode {
-				continue
-			}
-			fr := f.Row(coord[n])[:len(scratch)]
-			for k := range scratch {
-				scratch[k] *= fr[k]
-			}
-		}
-		o := dst.Row(coord[mode])[:len(scratch)]
-		for k := range scratch {
-			o[k] += scratch[k]
-		}
-	})
+	if len(factors) != 3 {
+		mttkrpAny(dst, x, factors, mode)
+		return dst
+	}
+	mttkrp3(dst, x, factors, mode)
 	return dst
 }
 

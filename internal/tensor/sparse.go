@@ -22,22 +22,38 @@ const zeroEps = 1e-12
 
 // Sparse is a sparse M-mode tensor with nonzero registries per mode index.
 // It is not safe for concurrent mutation.
+//
+// The nonzeros live in one hash map from key to cell (the value inline,
+// so AtKey is a single probe, plus the entry's slot) beside two parallel
+// insertion-order slices of keys and values. The slices follow the
+// keySet discipline: a deletion tombstones its slot, and an
+// order-preserving compaction reclaims slots once half are dead. Whole-
+// tensor iteration is therefore a sequential scan with no hashing, and
+// its order — which every MTTKRP and fitness accumulation follows — is a
+// pure function of the surviving key sequence.
 type Sparse struct {
 	shape   []int
 	strides []uint64
-	vals    map[uint64]float64
+	cells   map[uint64]cell
+	// keys and vals are the nonzeros in insertion order; dead slots hold
+	// Tombstone (and value 0). dead counts them.
+	keys []uint64
+	vals []float64
+	dead int
 	// fibers[m][i] holds the keys of nonzeros whose mode-m index is i.
 	// Registries are allocated lazily per index.
 	fibers []map[int]*keySet
-	// all holds every nonzero key in deterministic (insertion/swap) order,
-	// so that whole-tensor iteration — and therefore every accumulation in
-	// MTTKRP and fitness — is reproducible for a fixed operation sequence.
-	all    *keySet
 	normSq float64 // maintained Σ x_J², see NormSquared.
 	// coordScratch backs the coord slice handed to ForEach* callbacks,
 	// keeping per-event slice iteration allocation-free. Like mutation,
 	// iteration is single-goroutine by contract.
 	coordScratch []int
+}
+
+// cell is a stored nonzero: its value and its slot in keys/vals.
+type cell struct {
+	v    float64
+	slot int
 }
 
 // NewSparse returns an all-zero sparse tensor with the given shape. The
@@ -68,9 +84,8 @@ func NewSparse(shape []int) *Sparse {
 	return &Sparse{
 		shape:        sh,
 		strides:      strides,
-		vals:         make(map[uint64]float64),
+		cells:        make(map[uint64]cell),
 		fibers:       fibers,
-		all:          newKeySet(),
 		coordScratch: make([]int, len(sh)),
 	}
 }
@@ -89,7 +104,7 @@ func (t *Sparse) Shape() []int {
 func (t *Sparse) Dim(m int) int { return t.shape[m] }
 
 // NNZ returns the number of stored nonzeros |X|.
-func (t *Sparse) NNZ() int { return len(t.vals) }
+func (t *Sparse) NNZ() int { return len(t.cells) }
 
 // Size returns the total number of cells Π N_m.
 func (t *Sparse) Size() uint64 {
@@ -130,30 +145,68 @@ func (t *Sparse) Coord(k uint64, dst []int) []int {
 }
 
 // At returns the entry at coord (0 when not stored).
-func (t *Sparse) At(coord []int) float64 { return t.vals[t.Key(coord)] }
+func (t *Sparse) At(coord []int) float64 { return t.cells[t.Key(coord)].v }
 
 // AtKey returns the entry for an encoded key (0 when not stored).
-func (t *Sparse) AtKey(k uint64) float64 { return t.vals[k] }
+func (t *Sparse) AtKey(k uint64) float64 { return t.cells[k].v }
 
 // Set assigns the entry at coord, evicting it when v is (near) zero.
 func (t *Sparse) Set(coord []int, v float64) { t.SetKey(t.Key(coord), v) }
 
 // SetKey assigns the entry for an encoded key.
 func (t *Sparse) SetKey(k uint64, v float64) {
-	old, existed := t.vals[k]
+	c, existed := t.cells[k]
+	t.set(k, c, existed, v)
+}
+
+// set assigns v to key k whose current cell (c, existed) the caller has
+// already probed, so Add pays one lookup, not two.
+func (t *Sparse) set(k uint64, c cell, existed bool, v float64) {
 	if math.Abs(v) < zeroEps {
 		if existed {
-			t.normSq -= old * old
-			delete(t.vals, k)
+			t.normSq -= c.v * c.v
+			delete(t.cells, k)
+			t.keys[c.slot] = tombstone
+			t.vals[c.slot] = 0
+			t.dead++
+			if 2*t.dead >= len(t.keys) {
+				t.compact()
+			}
 			t.unregister(k)
 		}
 		return
 	}
-	t.normSq += v*v - old*old
-	t.vals[k] = v
-	if !existed {
+	t.normSq += v*v - c.v*c.v
+	if existed {
+		c.v = v
+		t.vals[c.slot] = v
+	} else {
+		c = cell{v: v, slot: len(t.keys)}
+		t.keys = append(t.keys, k)
+		t.vals = append(t.vals, v)
 		t.register(k)
 	}
+	t.cells[k] = c
+}
+
+// compact squeezes tombstones out of keys/vals in place, preserving order,
+// and re-points the moved cells at their new slots.
+func (t *Sparse) compact() {
+	n := 0
+	for i, k := range t.keys {
+		if k == tombstone {
+			continue
+		}
+		if i != n {
+			t.keys[n], t.vals[n] = k, t.vals[i]
+			c := t.cells[k]
+			c.slot = n
+			t.cells[k] = c
+		}
+		n++
+	}
+	t.keys, t.vals = t.keys[:n], t.vals[:n]
+	t.dead = 0
 }
 
 // Add adds v to the entry at coord and returns the new value.
@@ -161,14 +214,14 @@ func (t *Sparse) SetKey(k uint64, v float64) {
 //sns:hotpath
 func (t *Sparse) Add(coord []int, v float64) float64 {
 	k := t.Key(coord)
-	nv := t.vals[k] + v
-	t.SetKey(k, nv)
+	c, existed := t.cells[k]
+	nv := c.v + v
+	t.set(k, c, existed, nv)
 	return nv
 }
 
 //sns:hotpath
 func (t *Sparse) register(k uint64) {
-	t.all.Add(k)
 	for m := range t.shape {
 		i := int(k / t.strides[m] % uint64(t.shape[m]))
 		s := t.fibers[m][i]
@@ -183,7 +236,6 @@ func (t *Sparse) register(k uint64) {
 
 //sns:hotpath
 func (t *Sparse) unregister(k uint64) {
-	t.all.Remove(k)
 	for m := range t.shape {
 		i := int(k / t.strides[m] % uint64(t.shape[m]))
 		if s := t.fibers[m][i]; s != nil {
@@ -205,7 +257,7 @@ func (t *Sparse) Deg(m, i int) int {
 }
 
 // Tombstone is the sentinel marking dead slots in the raw key spans
-// returned by SliceSpan. No live key ever equals it (the keyspace
+// returned by Span and SliceSpan. No live key ever equals it (the keyspace
 // computation panics on uint64 overflow, so stored keys are strictly
 // below ^uint64(0)).
 const Tombstone = tombstone
@@ -241,7 +293,7 @@ func (t *Sparse) ForEachInSlice(m, i int, fn func(coord []int, v float64)) {
 	coord := t.coordScratch
 	s.ForEach(func(k uint64) {
 		t.Coord(k, coord)
-		fn(coord, t.vals[k])
+		fn(coord, t.cells[k].v)
 	})
 }
 
@@ -263,6 +315,15 @@ func (t *Sparse) SampleSlice(m, i, n int, rng Rand, exclude map[uint64]struct{})
 	return s.Sample(nil, n, rng, skip)
 }
 
+// Span returns the raw backing spans of the whole tensor: every nonzero
+// key and its value, in the deterministic order ForEachNonzero visits
+// them, interleaved with slots whose key is Tombstone that callers must
+// skip. keys and vals have equal length. Like SliceSpan the spans are
+// live views — valid only until the tensor's next mutation, and must not
+// be modified. They exist so whole-tensor kernels (fitness, MTTKRP) can
+// run as flat loops with no closure call or hash probe per nonzero.
+func (t *Sparse) Span() (keys []uint64, vals []float64) { return t.keys, t.vals }
+
 // ForEachNonzero calls fn(coord, value) over all nonzeros in a
 // deterministic order (fixed for a given operation history). The coord
 // slice is the tensor's shared scratch, reused across calls and across
@@ -270,18 +331,24 @@ func (t *Sparse) SampleSlice(m, i, n int, rng Rand, exclude map[uint64]struct{})
 // the same tensor.
 func (t *Sparse) ForEachNonzero(fn func(coord []int, v float64)) {
 	coord := t.coordScratch
-	t.all.ForEach(func(k uint64) {
+	for i, k := range t.keys {
+		if k == tombstone {
+			continue
+		}
 		t.Coord(k, coord)
-		fn(coord, t.vals[k])
-	})
+		fn(coord, t.vals[i])
+	}
 }
 
 // ForEachKey calls fn(key, value) over all nonzeros in the same
 // deterministic order as ForEachNonzero.
 func (t *Sparse) ForEachKey(fn func(k uint64, v float64)) {
-	t.all.ForEach(func(k uint64) {
-		fn(k, t.vals[k])
-	})
+	for i, k := range t.keys {
+		if k == tombstone {
+			continue
+		}
+		fn(k, t.vals[i])
+	}
 }
 
 // NormSquared returns ‖X‖_F² (maintained incrementally; see Recompute for
@@ -298,9 +365,9 @@ func (t *Sparse) FrobeniusNorm() float64 { return math.Sqrt(t.NormSquared()) }
 
 // RecomputeNormSquared resums ‖X‖_F² from the stored entries and refreshes
 // the maintained accumulator. Useful after very long update sequences to
-// shed floating-point drift. The resum walks the order-preserving key
-// registry, not the value map: float addition is order-dependent, and a
-// map-order resum would make the accumulator — which checkpoints capture —
+// shed floating-point drift. The resum walks the order-preserving span,
+// not the cell map: float addition is order-dependent, and a map-order
+// resum would make the accumulator — which checkpoints capture —
 // differ bit-for-bit between a process and its crash-recovered successor.
 func (t *Sparse) RecomputeNormSquared() float64 {
 	s := 0.0
@@ -331,15 +398,16 @@ func (t *Sparse) EqualApprox(o *Sparse, tol float64) bool {
 			return false
 		}
 	}
-	//lint:ignore determinism per-key comparison is order-independent; any visit order yields the same boolean
-	for k, v := range t.vals {
-		if math.Abs(v-o.vals[k]) > tol {
+	for i, k := range t.keys {
+		if k != tombstone && math.Abs(t.vals[i]-o.AtKey(k)) > tol {
 			return false
 		}
 	}
-	//lint:ignore determinism per-key comparison is order-independent; any visit order yields the same boolean
-	for k, v := range o.vals {
-		if _, ok := t.vals[k]; !ok && math.Abs(v) > tol {
+	for i, k := range o.keys {
+		if k == tombstone {
+			continue
+		}
+		if _, ok := t.cells[k]; !ok && math.Abs(o.vals[i]) > tol {
 			return false
 		}
 	}
@@ -348,5 +416,5 @@ func (t *Sparse) EqualApprox(o *Sparse, tol float64) bool {
 
 // String summarizes the tensor for debugging.
 func (t *Sparse) String() string {
-	return fmt.Sprintf("Sparse%v nnz=%d ‖X‖=%.4g", t.shape, len(t.vals), t.FrobeniusNorm())
+	return fmt.Sprintf("Sparse%v nnz=%d ‖X‖=%.4g", t.shape, len(t.cells), t.FrobeniusNorm())
 }

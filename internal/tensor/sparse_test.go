@@ -375,7 +375,7 @@ func TestDeterministicIterationOrder(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			ts.Set([]int{i % 10, (i * 7) % 10}, float64(i+1))
 		}
-		ts.Set([]int{3, 3}, 0) // removal reshuffles via swap-delete
+		ts.Set([]int{3, 3}, 0) // removal leaves a tombstone in the span
 		var order []uint64
 		ts.ForEachKey(func(k uint64, v float64) { order = append(order, k) })
 		return order
@@ -401,5 +401,99 @@ func TestAtKeySetKey(t *testing.T) {
 	ts.SetKey(k, 1e-15) // below eviction threshold: removed
 	if ts.NNZ() != 0 {
 		t.Error("near-zero value should evict")
+	}
+}
+
+// randomOps applies n random Set/Add/cancel-to-zero operations on a small
+// keyspace, so entries are created, overwritten, cancelled and revived and
+// the span both carries tombstones and compacts.
+func randomOps(rng *rand.Rand, ts *Sparse, n int) {
+	coord := make([]int, ts.Order())
+	for op := 0; op < n; op++ {
+		for m := range coord {
+			coord[m] = rng.Intn(ts.Dim(m))
+		}
+		switch rng.Intn(4) {
+		case 0:
+			ts.Set(coord, rng.NormFloat64())
+		case 1:
+			ts.Add(coord, float64(rng.Intn(5)-2))
+		case 2:
+			ts.Add(coord, -ts.At(coord)) // cancel to exactly zero
+		default:
+			ts.Set(coord, 0)
+		}
+	}
+}
+
+// liveSpan returns the live (key, value) pairs of ts's span in order.
+func liveSpan(ts *Sparse) ([]uint64, []float64) {
+	keys, vals := ts.Span()
+	if len(keys) != len(vals) {
+		panic("span keys/vals length mismatch")
+	}
+	var k []uint64
+	var v []float64
+	for i, key := range keys {
+		if key != Tombstone {
+			k = append(k, key)
+			v = append(v, vals[i])
+		}
+	}
+	return k, v
+}
+
+// Property: after random Set/Add/cancel sequences (compactions included),
+// the raw span is the tensor — ForEachKey and Clone iterate in span order,
+// and AtKey, NNZ and RecomputeNormSquared agree with it bit for bit.
+func TestQuickSpanLayout(t *testing.T) {
+	compacted := false
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ts := NewSparse([]int{5, 4, 3})
+		for round := 0; round < 8; round++ {
+			before := len(ts.keys)
+			randomOps(rng, ts, 40+rng.Intn(80))
+			compacted = compacted || len(ts.keys) < before
+			keys, vals := liveSpan(ts)
+			if len(keys) != ts.NNZ() || len(ts.keys)-ts.dead != ts.NNZ() {
+				return false
+			}
+			norm := 0.0
+			for i, k := range keys {
+				if math.Float64bits(ts.AtKey(k)) != math.Float64bits(vals[i]) || vals[i] == 0 {
+					return false
+				}
+				norm += vals[i] * vals[i]
+			}
+			if math.Float64bits(ts.RecomputeNormSquared()) != math.Float64bits(norm) {
+				return false
+			}
+			i := 0
+			ok := true
+			ts.ForEachKey(func(k uint64, v float64) {
+				ok = ok && i < len(keys) && keys[i] == k && math.Float64bits(vals[i]) == math.Float64bits(v)
+				i++
+			})
+			if !ok || i != len(keys) {
+				return false
+			}
+			ck, cv := liveSpan(ts.Clone())
+			if len(ck) != len(keys) {
+				return false
+			}
+			for i := range ck {
+				if ck[i] != keys[i] || math.Float64bits(cv[i]) != math.Float64bits(vals[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+	if !compacted {
+		t.Error("no sequence triggered a compaction")
 	}
 }

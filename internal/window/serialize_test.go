@@ -2,11 +2,14 @@ package window
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"slicenstitch/internal/stream"
+	"slicenstitch/internal/tensor"
 )
 
 func TestWindowEncodeDecodeRoundTrip(t *testing.T) {
@@ -74,5 +77,62 @@ func TestEncodeEmptyWindow(t *testing.T) {
 	}
 	if got.X().NNZ() != 0 || got.Pending() != 0 {
 		t.Fatal("empty window did not round-trip empty")
+	}
+}
+
+// Property: a window restored from its encoding iterates its tensor in the
+// live window's exact order — and keeps doing so under identical further
+// updates — after random Set/Add/cancel-to-zero sequences that leave
+// tombstones in the span and trigger compactions.
+func TestRoundTripPreservesSpanOrder(t *testing.T) {
+	mutate := func(rng *rand.Rand, x *tensor.Sparse, n int) {
+		coord := make([]int, x.Order())
+		for op := 0; op < n; op++ {
+			for m := range coord {
+				coord[m] = rng.Intn(x.Dim(m))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				x.Set(coord, rng.NormFloat64())
+			case 1:
+				x.Add(coord, -x.At(coord)) // cancel to exactly zero
+			default:
+				x.Add(coord, 1)
+			}
+		}
+	}
+	order := func(x *tensor.Sparse) (keys []uint64, vals []uint64) {
+		x.ForEachKey(func(k uint64, v float64) {
+			keys = append(keys, k)
+			vals = append(vals, math.Float64bits(v))
+		})
+		return keys, vals
+	}
+	same := func(a, b *tensor.Sparse) bool {
+		ak, av := order(a)
+		bk, bv := order(b)
+		return reflect.DeepEqual(ak, bk) && reflect.DeepEqual(av, bv)
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		win := New([]int{5, 4}, 3, 2)
+		mutate(rng, win.x, 150)
+		var buf bytes.Buffer
+		if err := win.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeWindow(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(win.x, got.x) {
+			t.Fatalf("seed %d: restored window iterates in a different order", seed)
+		}
+		tail := rng.Int63()
+		mutate(rand.New(rand.NewSource(tail)), win.x, 100)
+		mutate(rand.New(rand.NewSource(tail)), got.x, 100)
+		if !same(win.x, got.x) {
+			t.Fatalf("seed %d: restored window diverges in order under identical updates", seed)
+		}
 	}
 }

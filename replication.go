@@ -210,7 +210,10 @@ type followerState struct {
 
 	mu         sync.Mutex
 	syncedFlag bool
-	tailers    map[string]*streamTailer
+	// leaderSet is the leader's stream list as of the last successful
+	// reconcile; readiness covers every name in it.
+	leaderSet []string
+	tailers   map[string]*streamTailer
 }
 
 type streamTailer struct {
@@ -253,16 +256,32 @@ func (f *followerState) stop() {
 	})
 }
 
-// isSynced reports whether at least one reconciliation has completed.
+// isSynced reports whether a reconciliation has completed and every
+// stream it listed exists locally. A reconcile only starts the tailers;
+// a stream whose bootstrap is still in flight is not in the engine yet,
+// so without the membership check a follower would report synced — and
+// /readyz ready — while Metrics().Streams silently omitted that stream.
 func (f *followerState) isSynced() bool {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncedFlag
+	synced, names := f.syncedFlag, f.leaderSet
+	f.mu.Unlock()
+	if !synced {
+		return false
+	}
+	for _, n := range names {
+		if _, err := f.eng.shard(n); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
-func (f *followerState) setSynced() {
+// setSynced records a completed reconcile against the leader's stream
+// list names (which the caller no longer mutates).
+func (f *followerState) setSynced(names []string) {
 	f.mu.Lock()
 	f.syncedFlag = true
+	f.leaderSet = names
 	f.mu.Unlock()
 }
 
@@ -277,21 +296,22 @@ func (f *followerState) run() {
 			return
 		case <-timer.C:
 		}
-		if err := f.reconcile(); err == nil {
-			f.setSynced()
+		if names, err := f.reconcile(); err == nil {
+			f.setSynced(names)
 		}
 		timer.Reset(f.opts.SyncEvery)
 	}
 }
 
 // reconcile fetches the leader's stream list, starts tailers for new
-// streams, and drops local streams the leader no longer has.
-func (f *followerState) reconcile() error {
+// streams, drops local streams the leader no longer has, and returns the
+// list.
+func (f *followerState) reconcile() ([]string, error) {
 	lctx, cancel := context.WithTimeout(f.ctx, 10*time.Second)
 	names, err := f.client.Streams(lctx)
 	cancel()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	leaderSet := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -308,7 +328,7 @@ func (f *followerState) reconcile() error {
 	for _, n := range names {
 		f.ensureTailer(n)
 	}
-	return nil
+	return names, nil
 }
 
 // ensureTailer starts (once) the named stream's tail loop. A stream with
