@@ -426,6 +426,8 @@ func mapError(err error) (status int, code string) {
 		return http.StatusTooManyRequests, "rate_limited"
 	case errors.Is(err, slicenstitch.ErrStaleTimestamp):
 		return http.StatusConflict, "stale_timestamp"
+	case errors.Is(err, slicenstitch.ErrBadValue):
+		return http.StatusBadRequest, "bad_value"
 	case errors.Is(err, slicenstitch.ErrObservedUnavailable):
 		return http.StatusServiceUnavailable, "observed_unavailable"
 	case errors.Is(err, slicenstitch.ErrEngineClosed):

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -460,6 +461,8 @@ func TestMapError(t *testing.T) {
 		{slicenstitch.ErrRateLimited, http.StatusTooManyRequests, "rate_limited"},
 		{&slicenstitch.RateLimitError{Stream: "s", RetryAfter: time.Second}, http.StatusTooManyRequests, "rate_limited"},
 		{slicenstitch.ErrStaleTimestamp, http.StatusConflict, "stale_timestamp"},
+		{slicenstitch.ErrBadValue, http.StatusBadRequest, "bad_value"},
+		{&slicenstitch.RejectError{Index: 2, Err: fmt.Errorf("%w: NaN", slicenstitch.ErrBadValue)}, http.StatusBadRequest, "bad_value"},
 		{slicenstitch.ErrObservedUnavailable, http.StatusServiceUnavailable, "observed_unavailable"},
 		{slicenstitch.ErrEngineClosed, http.StatusServiceUnavailable, "engine_closed"},
 		{slicenstitch.ErrDurability, http.StatusInternalServerError, "durability_failure"},

@@ -3,6 +3,7 @@ package slicenstitch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -37,6 +38,12 @@ var (
 	// precedes the stream's current time. Tuples must arrive in
 	// chronological order.
 	ErrStaleTimestamp = errors.New("slicenstitch: timestamp precedes stream time")
+
+	// ErrBadValue reports an event value that is NaN, ±Inf, or so large
+	// (|v| > √MaxFloat64) that its square overflows. Such a value would
+	// permanently corrupt the maintained ‖X‖² and the factor matrices, so
+	// it is rejected before it reaches the window.
+	ErrBadValue = errors.New("slicenstitch: event value not finite or too large")
 
 	// ErrObservedUnavailable reports that a deadline-bounded Observed
 	// read was shed because the stream's mailbox is full: bounded reads
@@ -172,6 +179,20 @@ func (e *RejectError) Unwrap() error { return e.Err }
 // ErrStaleTimestamp with the concrete times.
 func staleErr(tm, now int64) error {
 	return fmt.Errorf("%w: %d < %d", ErrStaleTimestamp, tm, now)
+}
+
+// maxEventValue is the largest event magnitude accepted: the square of
+// anything larger overflows float64, and ‖X‖² is maintained by adding
+// squares.
+var maxEventValue = math.Sqrt(math.MaxFloat64)
+
+// checkValue rejects an event value that is NaN, ±Inf, or whose square
+// overflows, wrapping ErrBadValue.
+func checkValue(v float64) error {
+	if !(math.Abs(v) <= maxEventValue) { // also true for NaN
+		return fmt.Errorf("%w: %v", ErrBadValue, v)
+	}
+	return nil
 }
 
 // rejects collects the per-event failures of one batch. A nil slice joins

@@ -1,7 +1,9 @@
 package slicenstitch
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -141,6 +143,62 @@ func TestPushBatchJoinsRejections(t *testing.T) {
 	}
 }
 
+// TestPushRejectsBadValues: NaN, ±Inf and values whose square overflows
+// are refused by Push and by PushBatch (one *RejectError per event,
+// carrying its batch index and wrapping ErrBadValue), and leave the
+// started tracker's event count, fitness, factors and whole checkpoint
+// byte-for-byte unchanged.
+func TestPushRejectsBadValues(t *testing.T) {
+	tr, err := New(parallelTestConfig([]int{6, 5}, SNSRndPlus, 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveParallel(t, tr, 5)
+	checkpoint := func() []byte {
+		var b bytes.Buffer
+		if err := tr.Checkpoint(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	events, fitness, before := tr.Events(), tr.Fitness(), checkpoint()
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -1e200, math.Nextafter(maxEventValue, math.Inf(1))}
+	tm := tr.Now()
+	batch := make([]Event, len(bad))
+	for i, v := range bad {
+		if err := tr.Push([]int{1, 2}, v, tm); !errors.Is(err, ErrBadValue) {
+			t.Fatalf("Push(%v) = %v, want ErrBadValue", v, err)
+		}
+		batch[i] = Event{Coord: []int{1, 2}, Value: v, Time: tm}
+	}
+	applied, err := tr.PushBatch(batch)
+	if applied != 0 {
+		t.Fatalf("PushBatch applied %d bad events", applied)
+	}
+	errs := err.(interface{ Unwrap() []error }).Unwrap()
+	if len(errs) != len(bad) {
+		t.Fatalf("join carries %d errors, want %d: %v", len(errs), len(bad), err)
+	}
+	for i, e := range errs {
+		var rej *RejectError
+		if !errors.As(e, &rej) || rej.Index != i || !errors.Is(rej, ErrBadValue) {
+			t.Fatalf("join entry %d = %v, want a *RejectError at index %d wrapping ErrBadValue", i, e, i)
+		}
+	}
+	if tr.Events() != events || math.Float64bits(tr.Fitness()) != math.Float64bits(fitness) {
+		t.Fatalf("rejected values moved the tracker: events %d→%d, fitness %v→%v", events, tr.Events(), fitness, tr.Fitness())
+	}
+	if !bytes.Equal(checkpoint(), before) {
+		t.Fatal("rejected values changed the checkpointed window or factors")
+	}
+	// The bound itself is accepted.
+	for _, v := range []float64{maxEventValue, -maxEventValue, 0} {
+		if err := tr.Push([]int{1, 2}, v, tm); err != nil {
+			t.Fatalf("Push(%v) = %v, want accepted", v, err)
+		}
+	}
+}
+
 // TestSafeTrackerPushBatch checks the lock-guarded wrapper forwards the
 // joined rejections unchanged.
 func TestSafeTrackerPushBatch(t *testing.T) {
@@ -229,7 +287,7 @@ func TestErrorTaxonomyEngine(t *testing.T) {
 func TestErrorStringsPrefixed(t *testing.T) {
 	for _, err := range []error{
 		ErrStreamNotFound, ErrStreamStopped, ErrNotStarted, ErrAlreadyStarted,
-		ErrBackpressure, ErrStaleTimestamp, ErrObservedUnavailable, ErrEngineClosed,
+		ErrBackpressure, ErrStaleTimestamp, ErrBadValue, ErrObservedUnavailable, ErrEngineClosed,
 		&CoordError{Mode: 0, Got: 9, Limit: 4},
 		&CoordError{Mode: -1, Got: 1, Limit: 2},
 		&CoordError{Time: true, Got: 9, Limit: 3},

@@ -1,7 +1,8 @@
 // Ingest hot-path benchmarks — the numbers behind BENCH_ingest.json.
 //
 // BenchmarkIngestHotPath measures the steady-state public Tracker path
-// (validation + window maintenance + SNS-Rnd+ factor update per event);
+// (validation + window maintenance + SNS-Rnd+ factor update per event),
+// BenchmarkIngestHotPath4 the same path at an order-4 paper shape;
 // BenchmarkEnginePushBatch measures the same events flowing through the
 // multi-stream engine's mailbox and shard writer in batches.
 // BenchmarkStreamHandlePush vs BenchmarkEnginePushByName isolate the
@@ -29,11 +30,34 @@ func benchCoords(n, d0, d1 int) [][]int {
 // BenchmarkIngestHotPath: one op = one steady-state Push on a started
 // tracker (default SNS-Rnd+), time advancing every 4 events.
 func BenchmarkIngestHotPath(b *testing.B) {
-	tr, err := New(Config{Dims: []int{64, 64}, W: 8, Period: 16, Rank: 8, Theta: 8, Seed: 1, ALSIters: 2})
+	benchPush(b, Config{Dims: []int{64, 64}, W: 8, Period: 16, Rank: 8, Theta: 8, Seed: 1, ALSIters: 2},
+		benchCoords(512, 64, 64))
+}
+
+// BenchmarkIngestHotPath4: BenchmarkIngestHotPath at the order-4 shape
+// and paper settings of the RideAustin workload — 219×219×24 categorical
+// modes plus time, W=10, R=20, θ=50, SNS-Rnd+ — so it times the fused
+// order-4 row kernels and the θ-sampled solve. 256 events land per
+// period on a ring whose mode-0 and mode-2 indices repeat every 32 and
+// 24 events, so the time-mode, mode-0 and mode-2 rows all have degree
+// above θ and take the sampled path.
+func BenchmarkIngestHotPath4(b *testing.B) {
+	coords := make([][]int, 4096)
+	for i := range coords {
+		coords[i] = []int{i % 32, (i * 11) % 219, (i * 7) % 24}
+	}
+	benchPush(b, Config{Dims: []int{219, 219, 24}, W: 10, Period: 64, Rank: 20, Theta: 50, Seed: 1, ALSIters: 2}, coords)
+}
+
+// benchPush times one steady-state Push per op on a tracker built from
+// cfg, cycling through coords with time advancing every 4 events: it
+// fills the first W periods, starts, and settles buffer and heap
+// capacities before the timer starts.
+func benchPush(b *testing.B, cfg Config, coords [][]int) {
+	tr, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	coords := benchCoords(512, 64, 64)
 	tm := int64(0)
 	i := 0
 	push := func() {
@@ -45,13 +69,13 @@ func BenchmarkIngestHotPath(b *testing.B) {
 		}
 		i++
 	}
-	for i < 8*16*4 {
+	for i < cfg.W*int(cfg.Period)*4 {
 		push()
 	}
 	if err := tr.Start(); err != nil {
 		b.Fatal(err)
 	}
-	for k := 0; k < 4096; k++ { // settle buffer and heap capacities
+	for k := 0; k < 4096; k++ {
 		push()
 	}
 	b.ReportAllocs()

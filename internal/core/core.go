@@ -139,16 +139,22 @@ func updatePrevGram(u *mat.Dense, p, a []float64) {
 }
 
 // krAxpy accumulates dst[k] += s·(∗_{n≠m} A⁽ⁿ⁾(coord[n],:))[k] — one
-// Khatri-Rao term of a data/delta row. Order-3 models run the fused
-// kernel (no scratch pass); other orders fall back to KRRow + axpy into
-// the caller's kr scratch. The two produce bit-identical sums.
+// Khatri-Rao term of a data/delta row. Order-3 and order-4 models run the
+// fused kernels (no scratch pass); other orders fall back to KRRow + axpy
+// into the caller's kr scratch. The forms produce bit-identical sums.
 func (b *base) krAxpy(dst []float64, s float64, coord []int, m int, kr []float64) {
+	f := b.model.Factors
 	if kr3 := b.kern.KRAxpy3; kr3 != nil {
 		ma, mb := cpd.OtherModes3(m)
-		kr3(dst, s, b.model.Factors[ma].Row(coord[ma]), b.model.Factors[mb].Row(coord[mb]))
+		kr3(dst, s, f[ma].Row(coord[ma]), f[mb].Row(coord[mb]))
 		return
 	}
-	kr = cpd.KRRow(b.model.Factors, coord, m, kr)
+	if kr4 := b.kern.KRAxpy4; kr4 != nil {
+		ma, mb, mc := cpd.OtherModes4(m)
+		kr4(dst, s, f[ma].Row(coord[ma]), f[mb].Row(coord[mb]), f[mc].Row(coord[mc]))
+		return
+	}
+	kr = cpd.KRRow(f, coord, m, kr)
 	for k := range dst {
 		dst[k] += s * kr[k]
 	}

@@ -15,7 +15,10 @@ import (
 // sampleCellsForTest calls sampleSliceCells with throwaway workspace — the
 // tests care about the draw, not the buffer reuse.
 func sampleCellsForTest(x *tensor.Sparse, m, i, theta int, r *rng.RNG, exclude []uint64) []uint64 {
-	return sampleSliceCells(x, m, i, theta, r, exclude, nil, make([]int, x.Order()))
+	var out cellSample
+	var seen keySet
+	sampleSliceCells(x, m, i, theta, r, exclude, &out, &seen, make([]int, x.Order()))
+	return out.keys
 }
 
 // The SNS_VEC time-mode update must be exactly Eq. (9):

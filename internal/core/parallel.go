@@ -35,18 +35,21 @@ import (
 // rowWS is the scratch one row solve needs: R-vectors for Khatri-Rao
 // rows, data/delta terms, an R×R Hadamard-of-Grams workspace (plus one
 // for H_u), coordinate and factor-row lookup buffers, a Cholesky solver,
-// and the sampled-key buffer. Each worker owns one, as does the
-// sequential path (base.ws), so solves never share mutable state.
+// and the θ-sample with its duplicate filter. Each worker owns one, as
+// does the sequential path (base.ws), so solves never share mutable
+// state. Only the sequential workspace's sample, seen and coordBuf serve
+// the sampler (sampling is sequential-only); workers leave theirs empty.
 type rowWS struct {
-	krBuf     []float64
-	rowBuf    []float64
-	dataBuf   []float64
-	coordBuf  []int
-	rowsBuf   [][]float64
-	hBuf      *mat.Dense
-	huBuf     *mat.Dense
-	solver    *mat.SymSolver
-	sampleBuf []uint64
+	krBuf    []float64
+	rowBuf   []float64
+	dataBuf  []float64
+	coordBuf []int
+	rowsBuf  [][]float64
+	hBuf     *mat.Dense
+	huBuf    *mat.Dense
+	solver   *mat.SymSolver
+	sample   cellSample
+	seen     keySet
 }
 
 func newRowWS(order, rank int) rowWS {
@@ -71,15 +74,15 @@ type parallelSolver interface {
 	// prepareRow registers the event-start backup of row (m,i) — visible
 	// to later prevRow lookups — and returns it. Sequential-only.
 	prepareRow(m, i int) []float64
-	// sampleFor pre-draws the θ-sample for row (m,i) when the variant's
-	// solve needs one, appending to dst[:len(dst)]. It returns the keys
-	// (retain for buffer reuse) and whether the sampled path applies.
-	// Sequential-only: this is the sole RNG consumer of a row update.
-	sampleFor(m, i int, dst []uint64) ([]uint64, bool)
+	// sampleFor pre-draws the θ-sample for row (m,i) into dst when the
+	// variant's solve needs one, and reports whether the sampled path
+	// applies. Sequential-only: this is the sole RNG consumer of a row
+	// update.
+	sampleFor(m, i int, dst *cellSample) bool
 	// solveRow computes the new values of row (m,i) in place, using only
 	// ws for scratch — no Gram writes, no RNG draws, no shared-buffer
 	// access. Safe to run concurrently with solveRow of an independent row.
-	solveRow(m, i int, ch window.Change, p []float64, sample []uint64, sampled bool, ws *rowWS)
+	solveRow(m, i int, ch window.Change, p []float64, sample *cellSample, sampled bool, ws *rowWS)
 	// commitRow replays the Gram updates implied by the move p → row(m,i).
 	// Sequential-only; must be invoked in the sequential row order.
 	commitRow(m, i int, p []float64)
@@ -103,7 +106,7 @@ type poolJob struct {
 	m, i    int
 	ch      window.Change
 	p       []float64
-	sample  []uint64
+	sample  *cellSample
 	sampled bool
 	done    *sync.WaitGroup
 }
@@ -115,7 +118,7 @@ type Pool struct {
 	size  int
 	jobs  chan *poolJob
 	slots [2]poolJob
-	samp  [2][]uint64
+	samp  [2]cellSample
 	batch sync.WaitGroup
 	wg    sync.WaitGroup
 	once  sync.Once
@@ -177,12 +180,11 @@ func (p *Pool) runTimePair(b *base, ps parallelSolver, ch window.Change, i1, i2 
 	tm := b.timeMode()
 	p1 := ps.prepareRow(tm, i1)
 	p2 := ps.prepareRow(tm, i2)
-	var ok1, ok2 bool
-	p.samp[0], ok1 = ps.sampleFor(tm, i1, p.samp[0][:0])
-	p.samp[1], ok2 = ps.sampleFor(tm, i2, p.samp[1][:0])
+	ok1 := ps.sampleFor(tm, i1, &p.samp[0])
+	ok2 := ps.sampleFor(tm, i2, &p.samp[1])
 	p.batch.Add(2)
-	p.slots[0] = poolJob{ps: ps, m: tm, i: i1, ch: ch, p: p1, sample: p.samp[0], sampled: ok1, done: &p.batch}
-	p.slots[1] = poolJob{ps: ps, m: tm, i: i2, ch: ch, p: p2, sample: p.samp[1], sampled: ok2, done: &p.batch}
+	p.slots[0] = poolJob{ps: ps, m: tm, i: i1, ch: ch, p: p1, sample: &p.samp[0], sampled: ok1, done: &p.batch}
+	p.slots[1] = poolJob{ps: ps, m: tm, i: i2, ch: ch, p: p2, sample: &p.samp[1], sampled: ok2, done: &p.batch}
 	p.jobs <- &p.slots[0]
 	p.jobs <- &p.slots[1]
 	p.batch.Wait()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"slicenstitch/internal/cpd"
 	"slicenstitch/internal/rng"
 	"slicenstitch/internal/stream"
 	"slicenstitch/internal/window"
@@ -194,4 +195,54 @@ func solveDense(h [][]float64, u []float64) []float64 {
 		}
 	}
 	return x
+}
+
+// TestOrder4FusedKernelsMatchGeneric: on an order-4 window every
+// outline variant running the fused order-4 kernels ForShape selects
+// ends bit-identical — factors and maintained Grams — to the same
+// variant running the generic any-order kernels (MTTKRPRowInto, KRRow +
+// axpy, the generic predictPrev loop).
+func TestOrder4FusedKernelsMatchGeneric(t *testing.T) {
+	for _, rank := range []int{3, 20} {
+		win, init, rest := primedSetup(rand.New(rand.NewSource(21)), []int{5, 4, 3}, 3, 3, rank)
+		mk := map[string]func() Decomposer{
+			"vec":  func() Decomposer { return NewSNSVec(win, init) },
+			"rnd":  func() Decomposer { return NewSNSRnd(win, init, 4, 5) },
+			"vec+": func() Decomposer { return NewSNSVecPlus(win, init, 100) },
+			"rnd+": func() Decomposer { return NewSNSRndPlus(win, init, 4, 100, 5) },
+		}
+		type pair struct{ fused, generic Decomposer }
+		pairs := map[string]pair{}
+		for name, f := range mk {
+			p := pair{f(), f()}
+			if baseOf(p.fused).kern.KRAxpy4 == nil {
+				t.Fatalf("%s: order-4 tracker did not select the fused kernels", name)
+			}
+			baseOf(p.generic).kern = &cpd.Kernels{Order: 4, Rank: rank, MTTKRPRow: cpd.MTTKRPRowInto}
+			pairs[name] = p
+		}
+		win.Drive(rest, win.Now()+40, func(ch window.Change) {
+			for _, p := range pairs {
+				p.fused.Apply(ch)
+				p.generic.Apply(ch)
+			}
+		})
+		for name, p := range pairs {
+			bf, bg := baseOf(p.fused), baseOf(p.generic)
+			for m := range bf.model.Factors {
+				sameBits(t, name+" factor", bf.model.Factors[m].Data(), bg.model.Factors[m].Data())
+				sameBits(t, name+" gram", bf.grams[m].Data(), bg.grams[m].Data())
+			}
+		}
+	}
+}
+
+// sameBits fails unless a and b are Float64bits-equal entry by entry.
+func sameBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			t.Fatalf("%s entry %d: %g != %g", what, j, a[j], b[j])
+		}
+	}
 }

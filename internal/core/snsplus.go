@@ -166,15 +166,13 @@ func (s *SNSVecPlus) prepareRow(m, i int) []float64 {
 	return s.savePrev(s.model.Factors[m].Row(i))
 }
 
-func (s *SNSVecPlus) sampleFor(_, _ int, dst []uint64) ([]uint64, bool) {
-	return dst, false
-}
+func (s *SNSVecPlus) sampleFor(int, int, *cellSample) bool { return false }
 
 // solveRow runs the coordinate-descent pass, updating the factor row in
 // place. Gram maintenance is deferred to commitRow — sound because the
 // pass never reads Q⁽ᵐ⁾ or U⁽ᵐ⁾ of its own mode (H excludes mode m), so
 // deferral changes no operand of any floating-point operation.
-func (s *SNSVecPlus) solveRow(m, i int, ch window.Change, p []float64, _ []uint64, _ bool, ws *rowWS) {
+func (s *SNSVecPlus) solveRow(m, i int, ch window.Change, p []float64, _ *cellSample, _ bool, ws *rowWS) {
 	row := s.model.Factors[m].Row(i)
 	h := cpd.GramsExceptInto(ws.hBuf, s.grams, m)
 	timeMode := m == s.timeMode()
@@ -284,9 +282,8 @@ func (s *SNSRndPlus) beginEvent(ch window.Change) {
 // property behind the zero-allocs/op hot-path benchmark.
 func (s *SNSRndPlus) updateRow(m, i int, ch window.Change) {
 	p := s.prepareRow(m, i)
-	sample, sampled := s.sampleFor(m, i, s.ws.sampleBuf[:0])
-	s.ws.sampleBuf = sample
-	s.solveRow(m, i, ch, p, sample, sampled, &s.ws)
+	sampled := s.sampleFor(m, i, &s.ws.sample)
+	s.solveRow(m, i, ch, p, &s.ws.sample, sampled, &s.ws)
 	s.commitRow(m, i, p)
 }
 
@@ -296,12 +293,13 @@ func (s *SNSRndPlus) prepareRow(m, i int) []float64 {
 
 // sampleFor draws the θ-sample when row (m,i)'s degree exceeds θ — the
 // sole RNG consumer of the row update (see SNSRnd.sampleFor).
-func (s *SNSRndPlus) sampleFor(m, i int, dst []uint64) ([]uint64, bool) {
+func (s *SNSRndPlus) sampleFor(m, i int, dst *cellSample) bool {
 	x := s.win.X()
 	if x.Deg(m, i) <= s.theta {
-		return dst, false
+		return false
 	}
-	return sampleSliceCells(x, m, i, s.theta, s.rng, s.exclude, dst, s.ws.coordBuf), true
+	sampleSliceCells(x, m, i, s.theta, s.rng, s.exclude, dst, &s.ws.seen, s.ws.coordBuf)
+	return true
 }
 
 // solveRow runs the coordinate-descent pass, updating the factor row in
@@ -309,7 +307,7 @@ func (s *SNSRndPlus) sampleFor(m, i int, dst []uint64) ([]uint64, bool) {
 // because the pass never reads Q⁽ᵐ⁾ or U⁽ᵐ⁾ of its own mode (both H and
 // H_u exclude mode m), so deferral changes no operand of any
 // floating-point operation.
-func (s *SNSRndPlus) solveRow(m, i int, ch window.Change, p []float64, sample []uint64, sampled bool, ws *rowWS) {
+func (s *SNSRndPlus) solveRow(m, i int, ch window.Change, p []float64, sample *cellSample, sampled bool, ws *rowWS) {
 	row := s.model.Factors[m].Row(i)
 	x := s.win.X()
 	h := cpd.GramsExceptInto(ws.hBuf, s.grams, m)
@@ -327,8 +325,9 @@ func (s *SNSRndPlus) solveRow(m, i int, ch window.Change, p []float64, sample []
 		// H_u = ∗_{n≠m} U⁽ⁿ⁾ for the e-term.
 		hud = cpd.GramsExceptInto(ws.huBuf, s.prevGrams, m).Data()
 		data = s.deltaTerm(ch, m, i, ws.dataBuf, ws.krBuf)
-		for _, key := range sample {
-			coord := x.Coord(key, ws.coordBuf)
+		order := x.Order()
+		for j, key := range sample.keys {
+			coord := sample.coord(j, order)
 			resid := x.AtKey(key) - s.predictPrev(&s.base, coord, ws.rowsBuf)
 			s.krAxpy(data, resid, coord, m, ws.krBuf)
 		}

@@ -4,7 +4,6 @@ import (
 	"slicenstitch/internal/cpd"
 	"slicenstitch/internal/mat"
 	"slicenstitch/internal/rng"
-	"slicenstitch/internal/tensor"
 	"slicenstitch/internal/window"
 )
 
@@ -53,13 +52,11 @@ func (s *SNSVec) prepareRow(m, i int) []float64 {
 	return s.savePrev(s.model.Factors[m].Row(i))
 }
 
-func (s *SNSVec) sampleFor(_, _ int, dst []uint64) ([]uint64, bool) {
-	return dst, false
-}
+func (s *SNSVec) sampleFor(int, int, *cellSample) bool { return false }
 
 // solveRow computes the new row values in place without touching the
 // Grams (commitRow applies those).
-func (s *SNSVec) solveRow(m, i int, ch window.Change, p []float64, _ []uint64, _ bool, ws *rowWS) {
+func (s *SNSVec) solveRow(m, i int, ch window.Change, p []float64, _ *cellSample, _ bool, ws *rowWS) {
 	row := s.model.Factors[m].Row(i)
 	h := cpd.GramsExceptInto(ws.hBuf, s.grams, m)
 	if m == s.timeMode() {
@@ -87,101 +84,6 @@ type savedRow struct {
 	vals      []float64
 }
 
-// containsKey reports whether k is among keys — the membership test for
-// the tiny key lists of the sampler (an event's ΔX cells, a θ-sample).
-// A linear scan beats a map for lists this small and allocates nothing.
-func containsKey(keys []uint64, k uint64) bool {
-	for _, e := range keys {
-		if e == k {
-			return true
-		}
-	}
-	return false
-}
-
-// sampleSliceCells draws up to theta distinct cell keys uniformly at random
-// from the dense slice {J : j_m = i} of x — Algorithm 4 line 12: "θ indices
-// of X chosen uniformly at random, while fixing the m-th mode index to i_m".
-// The sample space is every cell of the slice, zeros included: the zero
-// cells' residuals (−x̃_J) are what balance the nonzero cells' corrections;
-// sampling only nonzeros would bias every update upward and diverge on
-// sparse streams. Keys in exclude (the ΔX cells, footnote 2) are skipped.
-// When the slice has no more than theta cells, all (non-excluded) cells are
-// returned, making X̃+X̄ exact on the slice.
-//
-// The caller supplies reusable workspace: keys are appended to dst[:0]
-// (returned) and coord is an order-M coordinate scratch — so the sampler
-// allocates nothing in steady state. Rejection-sampling duplicates are
-// detected by scanning the accepted keys themselves (≤ θ of them, and
-// excluded keys never enter the accepted list), which draws and rejects in
-// exactly the same sequence the former seen-map implementation did.
-func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude []uint64, dst []uint64, coord []int) []uint64 {
-	order := x.Order()
-	total := 1
-	for n := 0; n < order; n++ {
-		if n == m {
-			continue
-		}
-		total *= x.Dim(n)
-		if total > 1<<30 {
-			total = 1 << 30 // cap: plenty to guarantee the sampling path
-			break
-		}
-	}
-	out := dst[:0]
-	for n := range coord {
-		coord[n] = 0
-	}
-	coord[m] = i
-	if total <= theta {
-		// Enumerate the whole slice in lexicographic order (last mode
-		// fastest) with an odometer — closure-free so nothing escapes.
-		for {
-			k := x.Key(coord)
-			if !containsKey(exclude, k) {
-				out = append(out, k)
-			}
-			n := order - 1
-			for n >= 0 {
-				if n == m {
-					n--
-					continue
-				}
-				coord[n]++
-				if coord[n] < x.Dim(n) {
-					break
-				}
-				coord[n] = 0
-				n--
-			}
-			if n < 0 {
-				break
-			}
-		}
-		return out
-	}
-	// Rejection sampling without replacement.
-	attempts := 0
-	maxAttempts := 20*theta + 64
-	for len(out) < theta && attempts < maxAttempts {
-		attempts++
-		for n := 0; n < order; n++ {
-			if n != m {
-				coord[n] = rng.Intn(x.Dim(n))
-			}
-		}
-		k := x.Key(coord)
-		if containsKey(out, k) {
-			continue
-		}
-		if containsKey(exclude, k) {
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
 // prevTracker maintains the per-event A_prev view required by the sampling
 // variants: U⁽ᵐ⁾ = A_prev⁽ᵐ⁾ᵀA⁽ᵐ⁾ (reset to Q⁽ᵐ⁾ at event start,
 // Algorithm 3 line 1, then advanced by Eq. (17)/(26)) plus lazy backups of
@@ -194,7 +96,7 @@ type prevTracker struct {
 	prevGrams  []*mat.Dense
 	backups    []savedRow
 	backupPool [][]float64
-	exclude    []uint64 // the event's ΔX cell keys (tiny; scanned)
+	exclude    []uint64 // the event's ΔX cell keys (tiny; seed the sampler's duplicate filter)
 }
 
 func newPrevTracker(b *base) prevTracker {
@@ -249,12 +151,15 @@ func (pt *prevTracker) prevRow(b *base, m, i int) []float64 {
 
 // predictPrev evaluates x̃_J under the event-start factors. Row lookups are
 // hoisted out of the rank loop — this sits on the θ-sampling hot path.
-// Order-3 models run the selected (possibly fixed-rank) fused kernel; the
-// multiply chain is the generic loop's exactly. rows is order-length
-// lookup scratch from the executing workspace (unused on the fused path).
+// Order-3 and order-4 models run the selected fused kernel; its multiply
+// chain is the generic loop's exactly. rows is order-length lookup
+// scratch from the executing workspace (unused on the fused paths).
 func (pt *prevTracker) predictPrev(b *base, coord []int, rows [][]float64) float64 {
 	if p3 := b.kern.Predict3; p3 != nil {
 		return p3(pt.prevRow(b, 0, coord[0]), pt.prevRow(b, 1, coord[1]), pt.prevRow(b, 2, coord[2]))
+	}
+	if p4 := b.kern.Predict4; p4 != nil {
+		return p4(pt.prevRow(b, 0, coord[0]), pt.prevRow(b, 1, coord[1]), pt.prevRow(b, 2, coord[2]), pt.prevRow(b, 3, coord[3]))
 	}
 	for m := range b.model.Factors {
 		rows[m] = pt.prevRow(b, m, coord[m])
@@ -317,9 +222,8 @@ func (s *SNSRnd) beginEvent(ch window.Change) {
 // rare singular-system pseudoinverse fallback does).
 func (s *SNSRnd) updateRow(m, i int, ch window.Change) {
 	p := s.prepareRow(m, i)
-	sample, sampled := s.sampleFor(m, i, s.ws.sampleBuf[:0])
-	s.ws.sampleBuf = sample
-	s.solveRow(m, i, ch, p, sample, sampled, &s.ws)
+	sampled := s.sampleFor(m, i, &s.ws.sample)
+	s.solveRow(m, i, ch, p, &s.ws.sample, sampled, &s.ws)
 	s.commitRow(m, i, p)
 }
 
@@ -330,17 +234,18 @@ func (s *SNSRnd) prepareRow(m, i int) []float64 {
 // sampleFor draws the θ-sample when row (m,i)'s degree exceeds θ — the
 // sole RNG consumer of the row update, so pre-drawing for the parallel
 // pair in row order reproduces the sequential RNG stream exactly.
-func (s *SNSRnd) sampleFor(m, i int, dst []uint64) ([]uint64, bool) {
+func (s *SNSRnd) sampleFor(m, i int, dst *cellSample) bool {
 	x := s.win.X()
 	if x.Deg(m, i) <= s.theta {
-		return dst, false
+		return false
 	}
-	return sampleSliceCells(x, m, i, s.theta, s.rng, s.exclude, dst, s.ws.coordBuf), true
+	sampleSliceCells(x, m, i, s.theta, s.rng, s.exclude, dst, &s.ws.seen, s.ws.coordBuf)
+	return true
 }
 
 // solveRow computes the new row values in place without touching the
 // Grams or the RNG (commitRow and sampleFor own those).
-func (s *SNSRnd) solveRow(m, i int, ch window.Change, p []float64, sample []uint64, sampled bool, ws *rowWS) {
+func (s *SNSRnd) solveRow(m, i int, ch window.Change, p []float64, sample *cellSample, sampled bool, ws *rowWS) {
 	row := s.model.Factors[m].Row(i)
 	x := s.win.X()
 	h := cpd.GramsExceptInto(ws.hBuf, s.grams, m)
@@ -353,8 +258,9 @@ func (s *SNSRnd) solveRow(m, i int, ch window.Change, p []float64, sample []uint
 		// A⁽ᵐ⁾(i,:) ← A⁽ᵐ⁾(i,:) H_prev H† + (X̄+ΔX)_(m)(i,:) K⁽ᵐ⁾ H†.
 		hPrev := cpd.GramsExceptInto(ws.huBuf, s.prevGrams, m)
 		u := mat.VecMulInto(ws.dataBuf, p, hPrev)
-		for _, key := range sample {
-			coord := x.Coord(key, ws.coordBuf)
+		order := x.Order()
+		for j, key := range sample.keys {
+			coord := sample.coord(j, order)
 			resid := x.AtKey(key) - s.predictPrev(&s.base, coord, ws.rowsBuf)
 			s.krAxpy(u, resid, coord, m, ws.krBuf)
 		}

@@ -18,8 +18,9 @@ import (
 // Order-3 tensors (two non-time modes plus time — the paper's default
 // shape) additionally get fused three-operand kernels (KRAxpy3,
 // Predict3) that collapse the Khatri-Rao scratch pass into the consuming
-// loop. For other orders those fields are nil and callers fall back to
-// the generic path.
+// loop; order-4 tensors get the four-operand forms (KRAxpy4, Predict4)
+// and a span-iterating MTTKRPRow, all with runtime rank. For other orders
+// those fields are nil and callers fall back to the generic path.
 type Kernels struct {
 	Order, Rank int
 	// Fixed reports whether fixed-rank specializations were selected
@@ -38,12 +39,27 @@ type Kernels struct {
 	// product Σ_k a[k]·b[k]·c[k] — one x̃_J under factor rows a, b, c
 	// (ascending mode order).
 	Predict3 func(a, b, c []float64) float64
+	// KRAxpy4 (order 4 only, nil otherwise) is the order-4 KRAxpy3:
+	// dst[k] += s·((a[k]·b[k])·c[k]) with the three non-mode factor rows
+	// in ascending mode order — KRRow's ((1·a)·b)·c chain, since 1·a = a
+	// exactly.
+	KRAxpy4 func(dst []float64, s float64, a, b, c []float64)
+	// Predict4 (order 4 only, nil otherwise) evaluates
+	// Σ_k ((a[k]·b[k])·c[k])·d[k] under factor rows a, b, c, d (ascending
+	// mode order).
+	Predict4 func(a, b, c, d []float64) float64
 }
 
 // ForShape selects the kernel set for a model of the given order and
 // rank. The result is shared, immutable, and safe for concurrent use.
 func ForShape(order, rank int) *Kernels {
 	k := &Kernels{Order: order, Rank: rank}
+	if order == 4 {
+		k.MTTKRPRow = mttkrpRow4Any
+		k.KRAxpy4 = krAxpy4Any
+		k.Predict4 = predict4Any
+		return k
+	}
 	if order != 3 {
 		k.MTTKRPRow = MTTKRPRowInto
 		return k
@@ -94,6 +110,21 @@ func otherModes3(mode int) (int, int) {
 	}
 }
 
+// OtherModes4 is OtherModes3 for an order-4 tensor: the three non-mode
+// indices in ascending order.
+func OtherModes4(mode int) (int, int, int) {
+	switch mode {
+	case 0:
+		return 1, 2, 3
+	case 1:
+		return 0, 2, 3
+	case 2:
+		return 0, 1, 3
+	default:
+		return 0, 1, 2
+	}
+}
+
 // mttkrpRow3Any is the order-3 MTTKRP row with runtime rank: the generic
 // reference fused into a single pass per nonzero (t = (v·a_k)·b_k matches
 // the scratch-buffer chain of MTTKRPRowInto exactly) and iterated over
@@ -140,6 +171,62 @@ func predict3Any(a, b, c []float64) float64 {
 	for k := range a {
 		t := a[k] * b[k]
 		t *= c[k]
+		s += t
+	}
+	return s
+}
+
+// mttkrpRow4Any is mttkrpRow3Any for an order-4 tensor:
+// t = ((v·a_k)·b_k)·c_k per nonzero, the scratch-buffer chain of
+// MTTKRPRowInto.
+func mttkrpRow4Any(x *tensor.Sparse, factors []*mat.Dense, mode, idx int, dst, _ []float64) []float64 {
+	for k := range dst {
+		dst[k] = 0
+	}
+	ma, mb, mc := OtherModes4(mode)
+	fa, fb, fc := factors[ma], factors[mb], factors[mc]
+	sa, sb, sc := x.Stride(ma), x.Stride(mb), x.Stride(mc)
+	da, db, dc := uint64(x.Dim(ma)), uint64(x.Dim(mb)), uint64(x.Dim(mc))
+	for _, key := range x.SliceSpan(mode, idx) {
+		if key == tensor.Tombstone {
+			continue
+		}
+		v := x.AtKey(key)
+		ra := fa.Row(int(key / sa % da))[:len(dst)]
+		rb := fb.Row(int(key / sb % db))[:len(dst)]
+		rc := fc.Row(int(key / sc % dc))[:len(dst)]
+		for k := range dst {
+			t := v * ra[k]
+			t *= rb[k]
+			t *= rc[k]
+			dst[k] += t
+		}
+	}
+	return dst
+}
+
+// krAxpy4Any: dst[k] += s·((a[k]·b[k])·c[k]) with runtime rank.
+func krAxpy4Any(dst []float64, s float64, a, b, c []float64) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	c = c[:len(dst)]
+	for k := range dst {
+		t := a[k] * b[k]
+		t *= c[k]
+		dst[k] += s * t
+	}
+}
+
+// predict4Any: Σ_k ((a[k]·b[k])·c[k])·d[k] with runtime rank.
+func predict4Any(a, b, c, d []float64) float64 {
+	b = b[:len(a)]
+	c = c[:len(a)]
+	d = d[:len(a)]
+	s := 0.0
+	for k := range a {
+		t := a[k] * b[k]
+		t *= c[k]
+		t *= d[k]
 		s += t
 	}
 	return s

@@ -110,3 +110,63 @@ func BenchmarkPredict3R8(b *testing.B) {
 
 // sink defeats dead-code elimination of pure benchmark bodies.
 var sink float64
+
+// kernelBenchSetup4 is kernelBenchSetup at the RideAustin workload's
+// order-4 shape (219×219×24 categorical modes, W=10 time slices) with
+// 2048 nonzeros, so each mode-0 slice has degree 32.
+func kernelBenchSetup4(r int) (*tensor.Sparse, []*mat.Dense) {
+	dims := []int{219, 219, 24, 10}
+	x := tensor.NewSparse(dims)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2048; i++ {
+		x.Set([]int{i % 64, (i * 13) % 219, (i * 7) % 24, i % 10}, rng.Float64()+0.5)
+	}
+	factors := make([]*mat.Dense, len(dims))
+	for m, n := range dims {
+		factors[m] = mat.New(n, r)
+		for i := 0; i < n; i++ {
+			row := factors[m].Row(i)
+			for k := range row {
+				row[k] = rng.Float64() + 0.5
+			}
+		}
+	}
+	return x, factors
+}
+
+// BenchmarkMTTKRPRow4: the order-4 row kernel at R=20 over a degree-32
+// mode-0 slice — the exact (unsampled) non-time row update.
+func BenchmarkMTTKRPRow4(b *testing.B) {
+	x, f := kernelBenchSetup4(20)
+	dst := make([]float64, 20)
+	scratch := make([]float64, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mttkrpRow4Any(x, f, 0, i%64, dst, scratch)
+	}
+}
+
+// BenchmarkKRAxpy4: one fused order-4 Khatri-Rao axpy term at R=20 — the
+// inner loop of every sampled-residual and ΔX accumulation at the
+// RideAustin shape.
+func BenchmarkKRAxpy4(b *testing.B) {
+	_, f := kernelBenchSetup4(20)
+	dst := make([]float64, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		krAxpy4Any(dst, 0.5, f[1].Row(i%219), f[2].Row(i%24), f[3].Row(i%10))
+	}
+}
+
+// BenchmarkPredict4: one rank-20 four-way inner product — the
+// per-sampled-cell model prediction at the RideAustin shape.
+func BenchmarkPredict4(b *testing.B) {
+	_, f := kernelBenchSetup4(20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = predict4Any(f[0].Row(i%219), f[1].Row(i%219), f[2].Row(i%24), f[3].Row(i%10))
+	}
+}

@@ -103,11 +103,18 @@ func GramsExcept(grams []*mat.Dense, mode int) *mat.Dense {
 // GramsExceptInto computes GramsExcept into a preallocated R×R dst and
 // returns it — the allocation-free form used per event on the hot path.
 // The order-3 case (two surviving grams) is fused into a single
-// entrywise-product pass, bit-identical to the copy-then-multiply chain.
+// entrywise-product pass and the order-4 case into two, bit-identical to
+// the copy-then-multiply chain.
 func GramsExceptInto(dst *mat.Dense, grams []*mat.Dense, mode int) *mat.Dense {
-	if len(grams) == 3 {
+	switch len(grams) {
+	case 3:
 		ma, mb := otherModes3(mode)
 		mat.HadamardInto(dst, grams[ma], grams[mb])
+		return dst
+	case 4:
+		ma, mb, mc := OtherModes4(mode)
+		mat.HadamardInto(dst, grams[ma], grams[mb])
+		mat.HadamardInPlace(dst, grams[mc])
 		return dst
 	}
 	first := true

@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// parallelTestConfig builds a workload that hits shift events often
-// (small Period) so the parallel time-mode pair path runs on most
-// events, with a θ small enough that the sampled solve paths of the
-// SNS-Rnd variants are exercised too.
-func parallelTestConfig(alg Algorithm, rank, workers int) Config {
+// parallelTestConfig builds a workload over the given categorical
+// dimensions that hits shift events often (small Period) so the parallel
+// time-mode pair path runs on most events, with a θ small enough that
+// the sampled solve paths of the SNS-Rnd variants are exercised too.
+func parallelTestConfig(dims []int, alg Algorithm, rank, workers int) Config {
 	return Config{
-		Dims:        []int{6, 5},
+		Dims:        dims,
 		W:           4,
 		Period:      2,
 		Rank:        rank,
@@ -33,10 +33,17 @@ func parallelTestConfig(alg Algorithm, rank, workers int) Config {
 func driveParallel(t *testing.T, tr *Tracker, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	coord := make([]int, len(tr.cfg.Dims))
+	draw := func() []int {
+		for m, n := range tr.cfg.Dims {
+			coord[m] = rng.Intn(n)
+		}
+		return coord
+	}
 	tm := int64(0)
 	for i := 0; i < 80; i++ {
 		tm += int64(rng.Intn(2))
-		if err := tr.Push([]int{rng.Intn(6), rng.Intn(5)}, 1+rng.Float64(), tm); err != nil {
+		if err := tr.Push(draw(), 1+rng.Float64(), tm); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +52,7 @@ func driveParallel(t *testing.T, tr *Tracker, seed int64) {
 	}
 	for i := 0; i < 400; i++ {
 		tm += int64(rng.Intn(3))
-		if err := tr.Push([]int{rng.Intn(6), rng.Intn(5)}, 1+rng.Float64(), tm); err != nil {
+		if err := tr.Push(draw(), 1+rng.Float64(), tm); err != nil {
 			t.Fatal(err)
 		}
 		if i%97 == 0 {
@@ -62,37 +69,44 @@ func driveParallel(t *testing.T, tr *Tracker, seed int64) {
 // independent time-mode row pairs on pool workers produces bit-identical
 // factors, Gram matrices, and checkpoint bytes to a sequential tracker
 // fed the same stream. Run under -race it also proves the solve stages
-// share no mutable state.
+// share no mutable state. The order-4 cases (three categorical modes plus
+// time) run the fused order-4 kernels and the pool's pre-drawn sample
+// coordinates.
 func TestParallelBitIdentical(t *testing.T) {
-	for _, alg := range []Algorithm{SNSVec, SNSRnd, SNSVecPlus, SNSRndPlus} {
-		for _, rank := range []int{3, 8} {
-			t.Run(fmt.Sprintf("%s/R%d", alg, rank), func(t *testing.T) {
-				seq, err := New(parallelTestConfig(alg, rank, 0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := New(parallelTestConfig(alg, rank, 2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer par.Close()
+	for _, shape := range []struct {
+		prefix string
+		dims   []int
+	}{{"", []int{6, 5}}, {"order4/", []int{6, 5, 4}}} {
+		for _, alg := range []Algorithm{SNSVec, SNSRnd, SNSVecPlus, SNSRndPlus} {
+			for _, rank := range []int{3, 8} {
+				t.Run(fmt.Sprintf("%s%s/R%d", shape.prefix, alg, rank), func(t *testing.T) {
+					seq, err := New(parallelTestConfig(shape.dims, alg, rank, 0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					par, err := New(parallelTestConfig(shape.dims, alg, rank, 2))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer par.Close()
 
-				driveParallel(t, seq, 11)
-				driveParallel(t, par, 11)
+					driveParallel(t, seq, 11)
+					driveParallel(t, par, 11)
 
-				stats, ok := par.PoolStats()
-				if !ok || stats.Workers != 2 {
-					t.Fatalf("PoolStats = %+v, %v; want 2 workers", stats, ok)
-				}
-				if stats.PairEvents == 0 || stats.RowsSolved != 2*stats.PairEvents {
-					t.Fatalf("pool never ran or miscounted: %+v", stats)
-				}
-				if _, ok := seq.PoolStats(); ok {
-					t.Fatal("sequential tracker reports a pool")
-				}
+					stats, ok := par.PoolStats()
+					if !ok || stats.Workers != 2 {
+						t.Fatalf("PoolStats = %+v, %v; want 2 workers", stats, ok)
+					}
+					if stats.PairEvents == 0 || stats.RowsSolved != 2*stats.PairEvents {
+						t.Fatalf("pool never ran or miscounted: %+v", stats)
+					}
+					if _, ok := seq.PoolStats(); ok {
+						t.Fatal("sequential tracker reports a pool")
+					}
 
-				compareTrackersBitwise(t, seq, par)
-			})
+					compareTrackersBitwise(t, seq, par)
+				})
+			}
 		}
 	}
 }
@@ -101,7 +115,7 @@ func TestParallelBitIdentical(t *testing.T) {
 // working after Close: events apply on the caller goroutine and results
 // stay correct (the pool counters stop advancing).
 func TestParallelCloseFallsBackSequential(t *testing.T) {
-	par, err := New(parallelTestConfig(SNSRndPlus, 4, 2))
+	par, err := New(parallelTestConfig([]int{6, 5}, SNSRndPlus, 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +135,7 @@ func TestParallelCloseFallsBackSequential(t *testing.T) {
 		t.Errorf("pool counters advanced after Close: %+v -> %+v", stats, after)
 	}
 
-	seq, err := New(parallelTestConfig(SNSRndPlus, 4, 0))
+	seq, err := New(parallelTestConfig([]int{6, 5}, SNSRndPlus, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

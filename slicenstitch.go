@@ -239,6 +239,9 @@ func (t *Tracker) pushOne(coord []int, value float64, tm int64) error {
 	if err := t.checkCoord(coord); err != nil {
 		return err
 	}
+	if err := checkValue(value); err != nil {
+		return err
+	}
 	if tm < t.win.Now() {
 		return staleErr(tm, t.win.Now())
 	}
