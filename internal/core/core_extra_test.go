@@ -16,7 +16,7 @@ import (
 // tests care about the draw, not the buffer reuse.
 func sampleCellsForTest(x *tensor.Sparse, m, i, theta int, r *rng.RNG, exclude []uint64) []uint64 {
 	var out cellSample
-	var seen keySet
+	var seen stampedSet
 	sampleSliceCells(x, m, i, theta, r, exclude, &out, &seen, make([]int, x.Order()))
 	return out.keys
 }

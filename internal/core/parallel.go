@@ -49,7 +49,7 @@ type rowWS struct {
 	huBuf    *mat.Dense
 	solver   *mat.SymSolver
 	sample   cellSample
-	seen     keySet
+	seen     stampedSet
 }
 
 func newRowWS(order, rank int) rowWS {

@@ -21,12 +21,12 @@ func (s *cellSample) coord(j, order int) []int {
 	return s.coords[j*order : j*order+order : j*order+order]
 }
 
-// keySet is the sampler's duplicate filter: an open-addressing hash set
+// stampedSet is the sampler's duplicate filter: an open-addressing hash set
 // of cell keys whose slots are valid only when stamped with the current
 // generation, so reset is O(1). Membership is exact. The table grows only
 // when a sample needs more room than it has (θ raised by SetTheta), so
 // steady-state sampling allocates nothing.
-type keySet struct {
+type stampedSet struct {
 	keys  []uint64
 	stamp []uint32
 	gen   uint32
@@ -35,7 +35,7 @@ type keySet struct {
 
 // reset empties the set and sizes it for up to n members at a load
 // factor of at most 1/2.
-func (s *keySet) reset(n int) {
+func (s *stampedSet) reset(n int) {
 	if len(s.keys) < max(2*n, 16) {
 		size, bits := 16, uint(4)
 		for size < 2*n {
@@ -57,7 +57,7 @@ func (s *keySet) reset(n int) {
 
 // add inserts k and reports whether it was absent. Slots are probed
 // linearly from a Fibonacci hash of the key.
-func (s *keySet) add(k uint64) bool {
+func (s *stampedSet) add(k uint64) bool {
 	mask := uint64(len(s.keys) - 1)
 	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
 		if s.stamp[i] != s.gen {
@@ -88,7 +88,7 @@ func (s *keySet) add(k uint64) bool {
 // lookup per draw rejects both duplicates and exclusions — the same
 // accept/reject sequence, and the same RNG draws, as scanning the accepted
 // and excluded lists.
-func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude []uint64, out *cellSample, seen *keySet, coord []int) {
+func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude []uint64, out *cellSample, seen *stampedSet, coord []int) {
 	order := x.Order()
 	total := 1
 	for n := 0; n < order; n++ {

@@ -114,7 +114,7 @@ func TestSampleSliceCellsMatchesOracle(t *testing.T) {
 	for _, dims := range shapes {
 		x := tensor.NewSparse(dims)
 		var out cellSample
-		var seen keySet
+		var seen stampedSet
 		coord := make([]int, len(dims))
 		want := make([]int, len(dims))
 		calls := 0
@@ -161,7 +161,7 @@ func TestSampleSliceCellsAttemptCap(t *testing.T) {
 	x := tensor.NewSparse([]int{3, 4, 3}) // slice (0,i) has 12 cells
 	exclude := sliceKeys(x, 0, 1, 5, rand.New(rand.NewSource(2)))
 	var out cellSample
-	var seen keySet
+	var seen stampedSet
 	got, ref := rng.New(5), rng.New(5)
 	const theta = 11 // > 12−5 admissible cells, < 12: rejection regime
 	sampleSliceCells(x, 0, 1, theta, got, exclude, &out, &seen, make([]int, 3))
@@ -179,7 +179,7 @@ func TestSampleSliceCellsAttemptCap(t *testing.T) {
 func TestSampleSliceCellsSteadyStateAllocFree(t *testing.T) {
 	x := tensor.NewSparse([]int{219, 219, 24, 10})
 	var out cellSample
-	var seen keySet
+	var seen stampedSet
 	coord := make([]int, 4)
 	r := rng.New(3)
 	exclude := []uint64{x.Key([]int{1, 2, 3, 4}), x.Key([]int{1, 2, 3, 5})}
@@ -193,11 +193,11 @@ func TestSampleSliceCellsSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestKeySetGenerationWrap: a reset that wraps the 32-bit generation
+// TestStampedSetGenerationWrap: a reset that wraps the 32-bit generation
 // clears the stamps, so no key from an earlier generation reads as
 // present.
-func TestKeySetGenerationWrap(t *testing.T) {
-	var s keySet
+func TestStampedSetGenerationWrap(t *testing.T) {
+	var s stampedSet
 	s.reset(4)
 	for k := uint64(0); k < 4; k++ {
 		s.add(k)

@@ -140,10 +140,13 @@ func (m *Model) NormSquared() float64 {
 // pass over X's span accumulating x_J·x̃_J, with x̃_J evaluated exactly as
 // Predict does (see sweep.go).
 func (m *Model) InnerProduct(x *tensor.Sparse) float64 {
-	if m.Order() != 3 {
-		return innerProductAny(x, m.Lambda, m.Factors)
+	switch m.Order() {
+	case 3:
+		return innerProduct3(x, m.Lambda, m.Factors)
+	case 4:
+		return innerProduct4(x, m.Lambda, m.Factors)
 	}
-	return innerProduct3(x, m.Lambda, m.Factors)
+	return innerProductAny(x, m.Lambda, m.Factors)
 }
 
 // FoldLambda absorbs the column weights λ evenly into the factors (each

@@ -20,14 +20,17 @@ func MTTKRP(x *tensor.Sparse, factors []*mat.Dense, mode int) *mat.Dense {
 // MTTKRPInto is MTTKRP into a preallocated dst (zeroed here), for callers
 // that recompute whole-mode MTTKRPs repeatedly into held buffers (ALS
 // sweeps, the streaming baselines). It is one flat pass over X's span
-// (see sweep.go); the order-3 pass allocates nothing.
+// (see sweep.go); the order-3 and order-4 passes allocate nothing.
 func MTTKRPInto(dst *mat.Dense, x *tensor.Sparse, factors []*mat.Dense, mode int) *mat.Dense {
 	dst.Zero()
-	if len(factors) != 3 {
+	switch len(factors) {
+	case 3:
+		mttkrp3(dst, x, factors, mode)
+	case 4:
+		mttkrp4(dst, x, factors, mode)
+	default:
 		mttkrpAny(dst, x, factors, mode)
-		return dst
 	}
-	mttkrp3(dst, x, factors, mode)
 	return dst
 }
 

@@ -19,7 +19,8 @@ import (
 //	MTTKRP:        t=v;   t*=a_k; t*=b_k; o_k+=t         (non-mode rows, ascending mode)
 //
 // Order 3 — the paper's shape — has its own body with the three rows in
-// named locals and two integer divisions per key; other orders share the
+// named locals and two integer divisions per key, order 4 (the RideAustin
+// shape) one with four rows and three divisions; other orders share the
 // any-order loop. Fixed-rank stamps (as kernels_fixed.go has for the
 // per-event row kernels) measured no faster here: the cost is the
 // latency of the ordered s+=p chain, which a compile-time bound does not
@@ -31,6 +32,15 @@ func decode3(key, d1, d2 uint64) (i0, i1, i2 int) {
 	q := key / d2
 	p := q / d1
 	return int(p), int(q - p*d1), int(key - q*d2)
+}
+
+// decode4 splits an order-4 key into its mode indices given the sizes of
+// modes 1, 2 and 3 (the strides are d1·d2·d3, d2·d3, d3 and 1).
+func decode4(key, d1, d2, d3 uint64) (i0, i1, i2, i3 int) {
+	q3 := key / d3
+	q2 := q3 / d2
+	q1 := q2 / d1
+	return int(q1), int(q2 - q1*d1), int(q3 - q2*d2), int(key - q3*d3)
 }
 
 // innerProduct3 is ⟨X, X̃⟩ for an order-3 tensor.
@@ -81,6 +91,63 @@ func mttkrp3(dst *mat.Dense, x *tensor.Sparse, f []*mat.Dense, mode int) {
 		for k := range o {
 			t := v * a[k]
 			t *= b[k]
+			o[k] += t
+		}
+	}
+}
+
+// innerProduct4 is ⟨X, X̃⟩ for an order-4 tensor.
+func innerProduct4(x *tensor.Sparse, lam []float64, f []*mat.Dense) float64 {
+	keys, vals := x.Span()
+	vals = vals[:len(keys)]
+	d1, d2, d3 := uint64(x.Dim(1)), uint64(x.Dim(2)), uint64(x.Dim(3))
+	fa, fb, fc, fd := f[0], f[1], f[2], f[3]
+	s := 0.0
+	for j, key := range keys {
+		if key == tensor.Tombstone {
+			continue
+		}
+		i0, i1, i2, i3 := decode4(key, d1, d2, d3)
+		a := fa.Row(i0)[:len(lam)]
+		b := fb.Row(i1)[:len(lam)]
+		c := fc.Row(i2)[:len(lam)]
+		d := fd.Row(i3)[:len(lam)]
+		pr := 0.0
+		for k, p := range lam {
+			p *= a[k]
+			p *= b[k]
+			p *= c[k]
+			p *= d[k]
+			pr += p
+		}
+		s += vals[j] * pr
+	}
+	return s
+}
+
+// mttkrp4 accumulates the order-4 whole-mode MTTKRP into a zeroed dst.
+func mttkrp4(dst *mat.Dense, x *tensor.Sparse, f []*mat.Dense, mode int) {
+	keys, vals := x.Span()
+	vals = vals[:len(keys)]
+	d1, d2, d3 := uint64(x.Dim(1)), uint64(x.Dim(2)), uint64(x.Dim(3))
+	r := dst.Cols()
+	ma, mb, mc := OtherModes4(mode)
+	fa, fb, fc := f[ma], f[mb], f[mc]
+	var idx [4]int
+	for j, key := range keys {
+		if key == tensor.Tombstone {
+			continue
+		}
+		idx[0], idx[1], idx[2], idx[3] = decode4(key, d1, d2, d3)
+		v := vals[j]
+		o := dst.Row(idx[mode])[:r]
+		a := fa.Row(idx[ma])[:r]
+		b := fb.Row(idx[mb])[:r]
+		c := fc.Row(idx[mc])[:r]
+		for k := range o {
+			t := v * a[k]
+			t *= b[k]
+			t *= c[k]
 			o[k] += t
 		}
 	}
