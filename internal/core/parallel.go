@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"slicenstitch/internal/mat"
+	"slicenstitch/internal/tensor"
 	"slicenstitch/internal/window"
 )
 
@@ -49,7 +50,7 @@ type rowWS struct {
 	huBuf    *mat.Dense
 	solver   *mat.SymSolver
 	sample   cellSample
-	seen     stampedSet
+	seen     tensor.StampedSet
 }
 
 func newRowWS(order, rank int) rowWS {

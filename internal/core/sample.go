@@ -21,56 +21,6 @@ func (s *cellSample) coord(j, order int) []int {
 	return s.coords[j*order : j*order+order : j*order+order]
 }
 
-// stampedSet is the sampler's duplicate filter: an open-addressing hash set
-// of cell keys whose slots are valid only when stamped with the current
-// generation, so reset is O(1). Membership is exact. The table grows only
-// when a sample needs more room than it has (θ raised by SetTheta), so
-// steady-state sampling allocates nothing.
-type stampedSet struct {
-	keys  []uint64
-	stamp []uint32
-	gen   uint32
-	shift uint
-}
-
-// reset empties the set and sizes it for up to n members at a load
-// factor of at most 1/2.
-func (s *stampedSet) reset(n int) {
-	if len(s.keys) < max(2*n, 16) {
-		size, bits := 16, uint(4)
-		for size < 2*n {
-			size <<= 1
-			bits++
-		}
-		s.keys = make([]uint64, size)
-		s.stamp = make([]uint32, size)
-		s.shift = 64 - bits
-		s.gen = 0
-	}
-	s.gen++
-	if s.gen == 0 {
-		// The generation wrapped: stale stamps could read as current.
-		clear(s.stamp)
-		s.gen = 1
-	}
-}
-
-// add inserts k and reports whether it was absent. Slots are probed
-// linearly from a Fibonacci hash of the key.
-func (s *stampedSet) add(k uint64) bool {
-	mask := uint64(len(s.keys) - 1)
-	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
-		if s.stamp[i] != s.gen {
-			s.stamp[i] = s.gen
-			s.keys[i] = k
-			return true
-		}
-		if s.keys[i] == k {
-			return false
-		}
-	}
-}
-
 // sampleSliceCells draws up to theta distinct cells uniformly at random
 // from the dense slice {J : j_m = i} of x — Algorithm 4 line 12: "θ indices
 // of X chosen uniformly at random, while fixing the m-th mode index to i_m".
@@ -88,7 +38,7 @@ func (s *stampedSet) add(k uint64) bool {
 // lookup per draw rejects both duplicates and exclusions — the same
 // accept/reject sequence, and the same RNG draws, as scanning the accepted
 // and excluded lists.
-func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude []uint64, out *cellSample, seen *stampedSet, coord []int) {
+func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude []uint64, out *cellSample, seen *tensor.StampedSet, coord []int) {
 	order := x.Order()
 	total := 1
 	for n := 0; n < order; n++ {
@@ -103,9 +53,9 @@ func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude [
 	}
 	out.keys = out.keys[:0]
 	out.coords = out.coords[:0]
-	seen.reset(min(theta, total) + len(exclude))
+	seen.Reset(min(theta, total) + len(exclude))
 	for _, k := range exclude {
-		seen.add(k)
+		seen.Add(k)
 	}
 	for n := range coord {
 		coord[n] = 0
@@ -115,7 +65,7 @@ func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude [
 		// Enumerate the whole slice in lexicographic order (last mode
 		// fastest) with an odometer — closure-free so nothing escapes.
 		for {
-			if k := x.Key(coord); seen.add(k) {
+			if k := x.Key(coord); seen.Add(k) {
 				out.keys = append(out.keys, k)
 				out.coords = append(out.coords, coord...)
 			}
@@ -149,7 +99,7 @@ func sampleSliceCells(x *tensor.Sparse, m, i, theta int, rng *rng.RNG, exclude [
 			}
 		}
 		k := x.Key(coord)
-		if !seen.add(k) {
+		if !seen.Add(k) {
 			continue
 		}
 		out.keys = append(out.keys, k)

@@ -114,7 +114,7 @@ func TestSampleSliceCellsMatchesOracle(t *testing.T) {
 	for _, dims := range shapes {
 		x := tensor.NewSparse(dims)
 		var out cellSample
-		var seen stampedSet
+		var seen tensor.StampedSet
 		coord := make([]int, len(dims))
 		want := make([]int, len(dims))
 		calls := 0
@@ -161,7 +161,7 @@ func TestSampleSliceCellsAttemptCap(t *testing.T) {
 	x := tensor.NewSparse([]int{3, 4, 3}) // slice (0,i) has 12 cells
 	exclude := sliceKeys(x, 0, 1, 5, rand.New(rand.NewSource(2)))
 	var out cellSample
-	var seen stampedSet
+	var seen tensor.StampedSet
 	got, ref := rng.New(5), rng.New(5)
 	const theta = 11 // > 12−5 admissible cells, < 12: rejection regime
 	sampleSliceCells(x, 0, 1, theta, got, exclude, &out, &seen, make([]int, 3))
@@ -179,7 +179,7 @@ func TestSampleSliceCellsAttemptCap(t *testing.T) {
 func TestSampleSliceCellsSteadyStateAllocFree(t *testing.T) {
 	x := tensor.NewSparse([]int{219, 219, 24, 10})
 	var out cellSample
-	var seen stampedSet
+	var seen tensor.StampedSet
 	coord := make([]int, 4)
 	r := rng.New(3)
 	exclude := []uint64{x.Key([]int{1, 2, 3, 4}), x.Key([]int{1, 2, 3, 5})}
@@ -190,28 +190,5 @@ func TestSampleSliceCellsSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state sampling allocated %.1f times per run", allocs)
-	}
-}
-
-// TestStampedSetGenerationWrap: a reset that wraps the 32-bit generation
-// clears the stamps, so no key from an earlier generation reads as
-// present.
-func TestStampedSetGenerationWrap(t *testing.T) {
-	var s stampedSet
-	s.reset(4)
-	for k := uint64(0); k < 4; k++ {
-		s.add(k)
-	}
-	// The stamps above are from generation 1; the next reset wraps back
-	// to it and must not let them read as current.
-	s.gen = ^uint32(0)
-	s.reset(4)
-	for k := uint64(0); k < 4; k++ {
-		if !s.add(k) {
-			t.Fatalf("key %d survived a wrapped reset", k)
-		}
-		if s.add(k) {
-			t.Fatalf("key %d added twice", k)
-		}
 	}
 }

@@ -88,7 +88,7 @@ func (a *Determinism) Run(prog *Program) []Diagnostic {
 						if _, isMap := t.Underlying().(*types.Map); isMap {
 							diags = append(diags, Diagnostic{
 								Analyzer: a.Name(), Pos: prog.Position(node.Pos()),
-								Message: "map iteration in a state-bearing package: order is nondeterministic; iterate an order-preserving index (e.g. tensor's keySet) or sort the keys",
+								Message: "map iteration in a state-bearing package: order is nondeterministic; iterate an order-preserving slice (e.g. tensor's Span) or sort the keys",
 							})
 						}
 					}

@@ -49,14 +49,6 @@ func BenchmarkForEachInSlice(b *testing.B) {
 	}
 }
 
-func BenchmarkSampleSliceTheta20(b *testing.B) {
-	x, rng := benchTensor(5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.SampleSlice(2, i%10, 20, rng, nil)
-	}
-}
-
 func BenchmarkForEachNonzero(b *testing.B) {
 	x, _ := benchTensor(5000)
 	b.ResetTimer()

@@ -1,12 +1,15 @@
 // Package tensor implements the sparse tensor substrate of the SliceNStitch
-// reproduction: a hash-based coordinate-format (COO) tensor with
-// per-(mode,index) nonzero registries.
+// reproduction: a coordinate-format (COO) tensor whose nonzeros sit in an
+// insertion-order span behind one flat open-addressing index, with
+// per-(mode,index) fiber registries.
 //
 // The registries are what give the paper's algorithms their complexity
 // guarantees: deg(m,i_m) — the number of nonzeros whose m-th mode index is
-// i_m (Theorem 4) — is an O(1) lookup, iterating a matricized row
-// X_(m)(i_m,:) costs O(deg), and SNS_RND's uniform sampling of θ nonzeros
-// from a row (Algorithm 4, line 12) costs expected O(θ).
+// i_m (Theorem 4) — is a slice read, and iterating a matricized row
+// X_(m)(i_m,:) costs O(deg). A point lookup, the per-cell cost of
+// SNS_RND's θ sampled cells (Theorem 7), is one probe of the index. Each
+// nonzero's span slot points back at its entries in its M fibers, so an
+// insert or delete costs one index operation plus O(M) slice writes.
 package tensor
 
 import (
@@ -23,26 +26,33 @@ const zeroEps = 1e-12
 // Sparse is a sparse M-mode tensor with nonzero registries per mode index.
 // It is not safe for concurrent mutation.
 //
-// The nonzeros live in one hash map from key to cell (the value inline,
-// so AtKey is a single probe, plus the entry's slot) beside two parallel
-// insertion-order slices of keys and values. The slices follow the
-// keySet discipline: a deletion tombstones its slot, and an
-// order-preserving compaction reclaims slots once half are dead. Whole-
-// tensor iteration is therefore a sequential scan with no hashing, and
-// its order — which every MTTKRP and fitness accumulation follows — is a
-// pure function of the surviving key sequence.
+// The nonzeros live in two parallel insertion-order slices of keys and
+// values, the span, with one hash index from key to span slot beside
+// them, so AtKey is one probe plus vals[slot]. Each (mode, index) fiber is
+// an insertion-order slice of its nonzeros' keys, and each span slot
+// keeps M back-pointers to its key's position in its M fibers, so a
+// deletion reaches its fiber entries without hashing. The span and the
+// fibers follow one discipline: a deletion tombstones its entry, and an
+// order-preserving compaction reclaims entries once half are dead. Whole-
+// tensor and whole-fiber iteration are therefore sequential scans with no
+// hashing, and their order — which every MTTKRP and fitness accumulation
+// follows — is a pure function of the surviving key sequence.
 type Sparse struct {
 	shape   []int
 	strides []uint64
-	cells   map[uint64]cell
+	idx     index
 	// keys and vals are the nonzeros in insertion order; dead slots hold
-	// Tombstone (and value 0). dead counts them.
+	// Tombstone (and value 0). dead counts them. fpos[s·M+m] is the
+	// position of keys[s] in its mode-m fiber (meaningless for dead s).
+	// Slots and fiber positions are int32: 2³¹ nonzeros would take over
+	// 100 GB in this layout.
 	keys []uint64
 	vals []float64
+	fpos []int32
 	dead int
-	// fibers[m][i] holds the keys of nonzeros whose mode-m index is i.
-	// Registries are allocated lazily per index.
-	fibers []map[int]*keySet
+	// fibers[m][i] holds the keys of the nonzeros whose mode-m index is i.
+	// fibers[m] grows up to the largest mode-m index ever touched.
+	fibers [][]fiber
 	normSq float64 // maintained Σ x_J², see NormSquared.
 	// coordScratch backs the coord slice handed to ForEach* callbacks,
 	// keeping per-event slice iteration allocation-free. Like mutation,
@@ -50,10 +60,13 @@ type Sparse struct {
 	coordScratch []int
 }
 
-// cell is a stored nonzero: its value and its slot in keys/vals.
-type cell struct {
-	v    float64
-	slot int
+// fiber is the registry of one matricized row X_(m)(i,:): its keys in
+// insertion order, dead entries holding Tombstone. Emptied fibers keep
+// their capacity, so an index whose degree oscillates around zero — common
+// under windowed expiry — does not reallocate on every reappearance.
+type fiber struct {
+	keys []uint64
+	dead int
 }
 
 // NewSparse returns an all-zero sparse tensor with the given shape. The
@@ -75,17 +88,13 @@ func NewSparse(shape []int) *Sparse {
 		}
 		capacity = next
 	}
-	fibers := make([]map[int]*keySet, len(shape))
-	for m := range fibers {
-		fibers[m] = make(map[int]*keySet)
-	}
 	sh := make([]int, len(shape))
 	copy(sh, shape)
 	return &Sparse{
 		shape:        sh,
 		strides:      strides,
-		cells:        make(map[uint64]cell),
-		fibers:       fibers,
+		idx:          newIndex(),
+		fibers:       make([][]fiber, len(shape)),
 		coordScratch: make([]int, len(sh)),
 	}
 }
@@ -104,7 +113,7 @@ func (t *Sparse) Shape() []int {
 func (t *Sparse) Dim(m int) int { return t.shape[m] }
 
 // NNZ returns the number of stored nonzeros |X|.
-func (t *Sparse) NNZ() int { return len(t.cells) }
+func (t *Sparse) NNZ() int { return t.idx.n }
 
 // Size returns the total number of cells Π N_m.
 func (t *Sparse) Size() uint64 {
@@ -145,68 +154,25 @@ func (t *Sparse) Coord(k uint64, dst []int) []int {
 }
 
 // At returns the entry at coord (0 when not stored).
-func (t *Sparse) At(coord []int) float64 { return t.cells[t.Key(coord)].v }
+func (t *Sparse) At(coord []int) float64 { return t.AtKey(t.Key(coord)) }
 
 // AtKey returns the entry for an encoded key (0 when not stored).
-func (t *Sparse) AtKey(k uint64) float64 { return t.cells[k].v }
+//
+//sns:hotpath
+func (t *Sparse) AtKey(k uint64) float64 {
+	if s := t.idx.slot(k); s >= 0 {
+		return t.vals[s]
+	}
+	return 0
+}
 
 // Set assigns the entry at coord, evicting it when v is (near) zero.
 func (t *Sparse) Set(coord []int, v float64) { t.SetKey(t.Key(coord), v) }
 
 // SetKey assigns the entry for an encoded key.
 func (t *Sparse) SetKey(k uint64, v float64) {
-	c, existed := t.cells[k]
-	t.set(k, c, existed, v)
-}
-
-// set assigns v to key k whose current cell (c, existed) the caller has
-// already probed, so Add pays one lookup, not two.
-func (t *Sparse) set(k uint64, c cell, existed bool, v float64) {
-	if math.Abs(v) < zeroEps {
-		if existed {
-			t.normSq -= c.v * c.v
-			delete(t.cells, k)
-			t.keys[c.slot] = tombstone
-			t.vals[c.slot] = 0
-			t.dead++
-			if 2*t.dead >= len(t.keys) {
-				t.compact()
-			}
-			t.unregister(k)
-		}
-		return
-	}
-	t.normSq += v*v - c.v*c.v
-	if existed {
-		c.v = v
-		t.vals[c.slot] = v
-	} else {
-		c = cell{v: v, slot: len(t.keys)}
-		t.keys = append(t.keys, k)
-		t.vals = append(t.vals, v)
-		t.register(k)
-	}
-	t.cells[k] = c
-}
-
-// compact squeezes tombstones out of keys/vals in place, preserving order,
-// and re-points the moved cells at their new slots.
-func (t *Sparse) compact() {
-	n := 0
-	for i, k := range t.keys {
-		if k == tombstone {
-			continue
-		}
-		if i != n {
-			t.keys[n], t.vals[n] = k, t.vals[i]
-			c := t.cells[k]
-			c.slot = n
-			t.cells[k] = c
-		}
-		n++
-	}
-	t.keys, t.vals = t.keys[:n], t.vals[:n]
-	t.dead = 0
+	pos, existed := t.idx.find(k)
+	t.set(k, pos, existed, v)
 }
 
 // Add adds v to the entry at coord and returns the new value.
@@ -214,44 +180,133 @@ func (t *Sparse) compact() {
 //sns:hotpath
 func (t *Sparse) Add(coord []int, v float64) float64 {
 	k := t.Key(coord)
-	c, existed := t.cells[k]
-	nv := c.v + v
-	t.set(k, c, existed, nv)
+	pos, existed := t.idx.find(k)
+	old := 0.0
+	if existed {
+		old = t.vals[t.idx.slots[pos]]
+	}
+	nv := old + v
+	t.set(k, pos, existed, nv)
 	return nv
 }
 
+// set assigns v to key k, which the caller has already probed: pos is its
+// index position when existed, else the empty position it would take. So
+// Add pays one probe, not two.
+//
 //sns:hotpath
-func (t *Sparse) register(k uint64) {
+func (t *Sparse) set(k uint64, pos uint64, existed bool, v float64) {
+	if !existed {
+		if math.Abs(v) >= zeroEps {
+			t.insert(k, pos, v)
+		}
+		return
+	}
+	s := t.idx.slots[pos]
+	old := t.vals[s]
+	if math.Abs(v) < zeroEps {
+		t.normSq -= old * old
+		t.remove(k, pos, s)
+		return
+	}
+	t.normSq += v*v - old*old
+	t.vals[s] = v
+}
+
+// insert appends a new nonzero k = v to the span and to its M fibers, and
+// indexes it at the empty position pos.
+//
+//sns:hotpath
+func (t *Sparse) insert(k uint64, pos uint64, v float64) {
+	t.normSq += v * v
+	s := int32(len(t.keys))
+	t.keys = append(t.keys, k)
+	t.vals = append(t.vals, v)
 	for m := range t.shape {
 		i := int(k / t.strides[m] % uint64(t.shape[m]))
-		s := t.fibers[m][i]
-		if s == nil {
-			//lint:ignore hotpath amortized: one registry allocation per distinct (mode,index) ever touched, bounded by the mode sizes
-			s = newKeySet()
-			t.fibers[m][i] = s
+		for len(t.fibers[m]) <= i {
+			t.fibers[m] = append(t.fibers[m], fiber{})
 		}
-		s.Add(k)
+		f := &t.fibers[m][i]
+		t.fpos = append(t.fpos, int32(len(f.keys)))
+		f.keys = append(f.keys, k)
+	}
+	t.idx.insertAt(pos, k, s)
+}
+
+// remove deletes the nonzero k, found at index position pos with span
+// slot s: its fiber entries (reached through the back-pointers), its
+// index entry, and its span slot, each by tombstone or backward shift.
+//
+//sns:hotpath
+func (t *Sparse) remove(k uint64, pos uint64, s int32) {
+	order := len(t.shape)
+	for m := range t.shape {
+		f := &t.fibers[m][int(k/t.strides[m]%uint64(t.shape[m]))]
+		f.keys[t.fpos[int(s)*order+m]] = Tombstone
+		f.dead++
+		if 2*f.dead >= len(f.keys) {
+			t.compactFiber(m, f)
+		}
+	}
+	t.idx.deleteAt(pos)
+	t.keys[s] = Tombstone
+	t.vals[s] = 0
+	t.dead++
+	if 2*t.dead >= len(t.keys) {
+		t.compact()
 	}
 }
 
+// compactFiber squeezes tombstones out of the mode-m fiber f in place,
+// preserving order, and re-points each survivor's back-pointer through
+// one index probe.
+//
 //sns:hotpath
-func (t *Sparse) unregister(k uint64) {
-	for m := range t.shape {
-		i := int(k / t.strides[m] % uint64(t.shape[m]))
-		if s := t.fibers[m][i]; s != nil {
-			s.Remove(k)
-			// Emptied registries are kept (not deleted) so an index whose
-			// degree oscillates around zero — common under windowed expiry —
-			// does not reallocate a keySet on every reappearance. Memory is
-			// bounded by the distinct indices ever touched, at most Σ N_m.
+func (t *Sparse) compactFiber(m int, f *fiber) {
+	order := len(t.shape)
+	n := 0
+	for _, k := range f.keys {
+		if k == Tombstone {
+			continue
 		}
+		f.keys[n] = k
+		t.fpos[int(t.idx.slot(k))*order+m] = int32(n)
+		n++
 	}
+	f.keys = f.keys[:n]
+	f.dead = 0
+}
+
+// compact squeezes tombstones out of the span in place, preserving order,
+// and moves each survivor's back-pointers with it and re-points its index
+// entry at its new slot.
+//
+//sns:hotpath
+func (t *Sparse) compact() {
+	order := len(t.shape)
+	n := 0
+	for s, k := range t.keys {
+		if k == Tombstone {
+			continue
+		}
+		if s != n {
+			t.keys[n], t.vals[n] = k, t.vals[s]
+			copy(t.fpos[n*order:(n+1)*order], t.fpos[s*order:(s+1)*order])
+			pos, _ := t.idx.find(k)
+			t.idx.slots[pos] = int32(n)
+		}
+		n++
+	}
+	t.keys, t.vals, t.fpos = t.keys[:n], t.vals[:n], t.fpos[:n*order]
+	t.dead = 0
 }
 
 // Deg returns deg(m, i): the number of nonzeros whose mode-m index is i.
 func (t *Sparse) Deg(m, i int) int {
-	if s := t.fibers[m][i]; s != nil {
-		return s.Len()
+	if i < len(t.fibers[m]) {
+		f := &t.fibers[m][i]
+		return len(f.keys) - f.dead
 	}
 	return 0
 }
@@ -259,8 +314,8 @@ func (t *Sparse) Deg(m, i int) int {
 // Tombstone is the sentinel marking dead slots in the raw key spans
 // returned by Span and SliceSpan. No live key ever equals it (the keyspace
 // computation panics on uint64 overflow, so stored keys are strictly
-// below ^uint64(0)).
-const Tombstone = tombstone
+// below ^uint64(0)). The key index marks its empty positions with it too.
+const Tombstone = ^uint64(0)
 
 // Stride returns the mode-m stride of the key encoding: coordinate i in
 // mode m contributes i·Stride(m) to the key, so mode-m of a key k decodes
@@ -274,8 +329,8 @@ func (t *Sparse) Stride(m int) uint64 { return t.strides[m] }
 // and must not be modified. It exists so the per-event MTTKRP kernels can
 // iterate a matricized row without a closure call per nonzero.
 func (t *Sparse) SliceSpan(m, i int) []uint64 {
-	if s := t.fibers[m][i]; s != nil {
-		return s.keys
+	if i < len(t.fibers[m]) {
+		return t.fibers[m][i].keys
 	}
 	return nil
 }
@@ -286,33 +341,14 @@ func (t *Sparse) SliceSpan(m, i int) []uint64 {
 // invocations; fn must not retain it or start another ForEach* on the same
 // tensor.
 func (t *Sparse) ForEachInSlice(m, i int, fn func(coord []int, v float64)) {
-	s := t.fibers[m][i]
-	if s == nil {
-		return
-	}
 	coord := t.coordScratch
-	s.ForEach(func(k uint64) {
-		t.Coord(k, coord)
-		fn(coord, t.cells[k].v)
-	})
-}
-
-// SampleSlice draws up to n distinct nonzero keys uniformly at random from
-// the nonzeros whose mode-m index is i, skipping keys in exclude (which may
-// be nil). It returns encoded keys; decode with Coord.
-func (t *Sparse) SampleSlice(m, i, n int, rng Rand, exclude map[uint64]struct{}) []uint64 {
-	s := t.fibers[m][i]
-	if s == nil {
-		return nil
-	}
-	var skip func(uint64) bool
-	if len(exclude) > 0 {
-		skip = func(k uint64) bool {
-			_, ok := exclude[k]
-			return ok
+	for _, k := range t.SliceSpan(m, i) {
+		if k == Tombstone {
+			continue
 		}
+		t.Coord(k, coord)
+		fn(coord, t.AtKey(k))
 	}
-	return s.Sample(nil, n, rng, skip)
 }
 
 // Span returns the raw backing spans of the whole tensor: every nonzero
@@ -332,7 +368,7 @@ func (t *Sparse) Span() (keys []uint64, vals []float64) { return t.keys, t.vals 
 func (t *Sparse) ForEachNonzero(fn func(coord []int, v float64)) {
 	coord := t.coordScratch
 	for i, k := range t.keys {
-		if k == tombstone {
+		if k == Tombstone {
 			continue
 		}
 		t.Coord(k, coord)
@@ -344,7 +380,7 @@ func (t *Sparse) ForEachNonzero(fn func(coord []int, v float64)) {
 // deterministic order as ForEachNonzero.
 func (t *Sparse) ForEachKey(fn func(k uint64, v float64)) {
 	for i, k := range t.keys {
-		if k == tombstone {
+		if k == Tombstone {
 			continue
 		}
 		fn(k, t.vals[i])
@@ -366,7 +402,7 @@ func (t *Sparse) FrobeniusNorm() float64 { return math.Sqrt(t.NormSquared()) }
 // RecomputeNormSquared resums ‖X‖_F² from the stored entries and refreshes
 // the maintained accumulator. Useful after very long update sequences to
 // shed floating-point drift. The resum walks the order-preserving span,
-// not the cell map: float addition is order-dependent, and a map-order
+// not the key index: float addition is order-dependent, and a table-order
 // resum would make the accumulator — which checkpoints capture —
 // differ bit-for-bit between a process and its crash-recovered successor.
 func (t *Sparse) RecomputeNormSquared() float64 {
@@ -399,15 +435,15 @@ func (t *Sparse) EqualApprox(o *Sparse, tol float64) bool {
 		}
 	}
 	for i, k := range t.keys {
-		if k != tombstone && math.Abs(t.vals[i]-o.AtKey(k)) > tol {
+		if k != Tombstone && math.Abs(t.vals[i]-o.AtKey(k)) > tol {
 			return false
 		}
 	}
 	for i, k := range o.keys {
-		if k == tombstone {
+		if k == Tombstone {
 			continue
 		}
-		if _, ok := t.cells[k]; !ok && math.Abs(o.vals[i]) > tol {
+		if t.idx.slot(k) < 0 && math.Abs(o.vals[i]) > tol {
 			return false
 		}
 	}
@@ -416,5 +452,5 @@ func (t *Sparse) EqualApprox(o *Sparse, tol float64) bool {
 
 // String summarizes the tensor for debugging.
 func (t *Sparse) String() string {
-	return fmt.Sprintf("Sparse%v nnz=%d ‖X‖=%.4g", t.shape, len(t.cells), t.FrobeniusNorm())
+	return fmt.Sprintf("Sparse%v nnz=%d ‖X‖=%.4g", t.shape, t.NNZ(), t.FrobeniusNorm())
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -196,74 +197,6 @@ func TestQuickRegistryConsistency(t *testing.T) {
 	}
 }
 
-func TestSampleSliceDistinctAndExcluded(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ts := NewSparse([]int{1, 100})
-	for j := 0; j < 100; j++ {
-		ts.Set([]int{0, j}, float64(j+1))
-	}
-	exclude := map[uint64]struct{}{
-		ts.Key([]int{0, 5}):  {},
-		ts.Key([]int{0, 50}): {},
-	}
-	for trial := 0; trial < 50; trial++ {
-		got := ts.SampleSlice(0, 0, 10, rng, exclude)
-		if len(got) != 10 {
-			t.Fatalf("sample size = %d want 10", len(got))
-		}
-		seen := map[uint64]struct{}{}
-		for _, k := range got {
-			if _, dup := seen[k]; dup {
-				t.Fatal("duplicate sample")
-			}
-			seen[k] = struct{}{}
-			if _, ex := exclude[k]; ex {
-				t.Fatal("excluded key sampled")
-			}
-		}
-	}
-}
-
-func TestSampleSliceRequestsMoreThanAvailable(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	ts := NewSparse([]int{2, 4})
-	ts.Set([]int{0, 0}, 1)
-	ts.Set([]int{0, 1}, 2)
-	ts.Set([]int{1, 3}, 9) // different slice
-	got := ts.SampleSlice(0, 0, 10, rng, nil)
-	if len(got) != 2 {
-		t.Errorf("sample = %d keys want all 2", len(got))
-	}
-	if got2 := ts.SampleSlice(0, 1, 1, rng, nil); len(got2) != 1 {
-		t.Errorf("sample from slice 1 = %d keys want 1", len(got2))
-	}
-	if none := ts.SampleSlice(1, 2, 3, rng, nil); len(none) != 0 {
-		t.Errorf("sample from empty slice = %d keys want 0", len(none))
-	}
-}
-
-// Sampling is (roughly) uniform: over many draws of 1 element from 4, each
-// element should appear a fair share of the time.
-func TestSampleSliceUniformity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ts := NewSparse([]int{1, 4})
-	for j := 0; j < 4; j++ {
-		ts.Set([]int{0, j}, 1)
-	}
-	counts := map[uint64]int{}
-	const draws = 8000
-	for i := 0; i < draws; i++ {
-		for _, k := range ts.SampleSlice(0, 0, 1, rng, nil) {
-			counts[k]++
-		}
-	}
-	for k, c := range counts {
-		if c < draws/4-draws/10 || c > draws/4+draws/10 {
-			t.Errorf("key %d sampled %d times, expected ≈%d", k, c, draws/4)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	ts := NewSparse([]int{2, 2})
 	ts.Set([]int{0, 0}, 1)
@@ -324,32 +257,6 @@ func TestOverflowShapePanics(t *testing.T) {
 		}
 	}()
 	NewSparse([]int{1 << 31, 1 << 31, 1 << 31})
-}
-
-func TestKeySetBasics(t *testing.T) {
-	s := newKeySet()
-	s.Add(5)
-	s.Add(5)
-	s.Add(9)
-	if s.Len() != 2 {
-		t.Errorf("Len = %d want 2", s.Len())
-	}
-	if !s.Contains(5) || s.Contains(7) {
-		t.Error("Contains wrong")
-	}
-	s.Remove(5)
-	if s.Len() != 1 || s.Contains(5) {
-		t.Error("Remove failed")
-	}
-	s.Remove(123) // absent: no-op
-	if s.Len() != 1 {
-		t.Error("Remove of absent key changed set")
-	}
-	got := []uint64{}
-	s.ForEach(func(k uint64) { got = append(got, k) })
-	if len(got) != 1 || got[0] != 9 {
-		t.Errorf("ForEach = %v", got)
-	}
 }
 
 func TestForEachKeyAndRecompute(t *testing.T) {
@@ -443,18 +350,78 @@ func liveSpan(ts *Sparse) ([]uint64, []float64) {
 	return k, v
 }
 
-// Property: after random Set/Add/cancel sequences (compactions included),
-// the raw span is the tensor — ForEachKey and Clone iterate in span order,
-// and AtKey, NNZ and RecomputeNormSquared agree with it bit for bit.
+// fiberLayoutOK reports whether every fiber of ts, tombstones skipped,
+// is the live span keys filtered to its (m, i) in span order with Deg
+// counting it, and whether every back-pointer of a live span slot lands
+// on its own key.
+func fiberLayoutOK(ts *Sparse, keys []uint64) bool {
+	order := ts.Order()
+	coord := make([]int, order)
+	for m := 0; m < order; m++ {
+		for i := 0; i < ts.Dim(m); i++ {
+			var want, got []uint64
+			for _, k := range keys {
+				if ts.Coord(k, coord)[m] == i {
+					want = append(want, k)
+				}
+			}
+			for _, k := range ts.SliceSpan(m, i) {
+				if k != Tombstone {
+					got = append(got, k)
+				}
+			}
+			if !slices.Equal(got, want) || ts.Deg(m, i) != len(want) {
+				return false
+			}
+		}
+	}
+	if len(ts.fpos) != len(ts.keys)*order {
+		return false
+	}
+	for s, k := range ts.keys {
+		if k == Tombstone {
+			continue
+		}
+		ts.Coord(k, coord)
+		for m, i := range coord {
+			f, p := ts.SliceSpan(m, i), ts.fpos[s*order+m]
+			if int(p) >= len(f) || f[p] != k {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fiberLens appends the backing length of every fiber of ts, mode by
+// mode, to lens[:0].
+func fiberLens(ts *Sparse, lens []int) []int {
+	lens = lens[:0]
+	for m := 0; m < ts.Order(); m++ {
+		for i := 0; i < ts.Dim(m); i++ {
+			lens = append(lens, len(ts.SliceSpan(m, i)))
+		}
+	}
+	return lens
+}
+
+// Property: after random Set/Add/cancel sequences (span and fiber
+// compactions included), the raw span is the tensor — ForEachKey and
+// Clone iterate in span order, and AtKey, NNZ and RecomputeNormSquared
+// agree with it bit for bit — and each fiber is the span filtered to its
+// (mode, index), reached from the span by exact back-pointers.
 func TestQuickSpanLayout(t *testing.T) {
-	compacted := false
+	compacted, fiberCompacted := false, false
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ts := NewSparse([]int{5, 4, 3})
 		for round := 0; round < 8; round++ {
-			before := len(ts.keys)
+			before, fibersBefore := len(ts.keys), fiberLens(ts, nil)
 			randomOps(rng, ts, 40+rng.Intn(80))
 			compacted = compacted || len(ts.keys) < before
+			for i, n := range fiberLens(ts, nil) {
+				fiberCompacted = fiberCompacted || n < fibersBefore[i]
+			}
 			keys, vals := liveSpan(ts)
 			if len(keys) != ts.NNZ() || len(ts.keys)-ts.dead != ts.NNZ() {
 				return false
@@ -487,13 +454,73 @@ func TestQuickSpanLayout(t *testing.T) {
 					return false
 				}
 			}
+			if !fiberLayoutOK(ts, keys) {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	if !compacted {
-		t.Error("no sequence triggered a compaction")
+	if !compacted || !fiberCompacted {
+		t.Errorf("compactions seen: span %v, fiber %v; want both", compacted, fiberCompacted)
+	}
+}
+
+// TestSparseSteadyStateAllocFree: once a sliding window of nonzeros has
+// cycled through its keys, inserting one and deleting the oldest at
+// constant nnz allocates nothing — through span and fiber compactions
+// alike — the index keeps its capacity, and the fibers reuse theirs.
+func TestSparseSteadyStateAllocFree(t *testing.T) {
+	const live, distinct = 1000, 3000
+	rng := rand.New(rand.NewSource(4))
+	ts := NewSparse([]int{40, 30, 10})
+	seen := map[uint64]bool{}
+	var coords [][]int
+	for len(coords) < distinct {
+		c := []int{rng.Intn(40), rng.Intn(30), rng.Intn(10)}
+		if k := ts.Key(c); !seen[k] {
+			seen[k] = true
+			coords = append(coords, c)
+		}
+	}
+	step := 0
+	slide := func(n int) {
+		for end := step + n; step < end; step++ {
+			ts.Add(coords[step%distinct], 1)
+			if step >= live {
+				ts.Add(coords[(step-live)%distinct], -1) // cancels to exactly 0
+			}
+		}
+	}
+	slide(live + 2*distinct) // fill, then cycle every key through twice
+	size := len(ts.idx.keys)
+	spanCompactions, fiberCompactions := 0, 0
+	before, after := fiberLens(ts, nil), fiberLens(ts, nil)
+	allocs := testing.AllocsPerRun(5, func() {
+		for n := 0; n < distinct; n++ {
+			spanBefore := len(ts.keys)
+			before = fiberLens(ts, before)
+			slide(1)
+			if len(ts.keys) < spanBefore {
+				spanCompactions++
+			}
+			after = fiberLens(ts, after)
+			for i, l := range after {
+				if l < before[i] {
+					fiberCompactions++
+				}
+			}
+		}
+	})
+	if ts.NNZ() != live || len(ts.idx.keys) != size {
+		t.Fatalf("nnz %d (want %d), index %d positions (was %d)", ts.NNZ(), live, len(ts.idx.keys), size)
+	}
+	if spanCompactions == 0 || fiberCompactions == 0 {
+		t.Fatalf("compactions: span %d, fiber %d; want both", spanCompactions, fiberCompactions)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state insert/delete allocated %.1f times per %d-step run", allocs, distinct)
 	}
 }
