@@ -1,8 +1,6 @@
 package slicenstitch
 
 import (
-	"bytes"
-	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -135,138 +133,4 @@ func (t *Tracker) adopt(model *cpd.Model) error {
 	}
 	t.goOnline()
 	return nil
-}
-
-// engineCheckpointVersion is bumped on incompatible engine-format changes.
-//
-//	1 — header + raw per-stream tracker blobs.
-//	2 — per-stream blobs carry the shard's WAL position (LSN) at capture,
-//	    and the embedded tracker checkpoints are format version 2 (exact
-//	    decomposer state).
-const engineCheckpointVersion = 2
-
-// engineStreamMeta records one shard's serving configuration; the tracker
-// Config travels inside the per-stream tracker checkpoint.
-type engineStreamMeta struct {
-	Name            string
-	MailboxCapacity int
-	Backpressure    int
-	PublishEvery    int
-}
-
-// engineHeader leads a whole-engine checkpoint stream.
-type engineHeader struct {
-	Version int
-	Streams []engineStreamMeta
-}
-
-// engineStreamBlob is one shard's captured state: the tracker checkpoint
-// bytes plus the shard's WAL position at the instant of capture. LSN is
-// the next log sequence number the shard would append (zero when the
-// engine runs without durability), so a checkpoint stamped LSN=n contains
-// exactly the effects of WAL records [0, n).
-type engineStreamBlob struct {
-	LSN  uint64
-	Data []byte
-}
-
-// Checkpoint serializes every stream of the engine so serving can resume
-// after a restart with RestoreEngine. Each shard's state is captured on
-// its own writer goroutine after all batches queued before the call, so
-// every stream is internally consistent; streams are captured one after
-// another, not at a single cross-stream instant. ctx bounds the whole
-// capture — on cancellation the checkpoint stream is left incomplete and
-// must be discarded.
-func (e *Engine) Checkpoint(ctx context.Context, w io.Writer) error {
-	// The header needs only each shard's serving config, so it is written
-	// first and the tracker blobs are captured one at a time — the engine
-	// never holds more than one shard's serialized state in memory.
-	names := e.Streams()
-	metas := make([]engineStreamMeta, 0, len(names))
-	for _, name := range names {
-		s, err := e.shard(name)
-		if err != nil {
-			return err
-		}
-		metas = append(metas, engineStreamMeta{
-			Name:            name,
-			MailboxCapacity: s.cfg.MailboxCapacity,
-			Backpressure:    int(s.cfg.Backpressure),
-			PublishEvery:    s.cfg.PublishEvery,
-		})
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(engineHeader{Version: engineCheckpointVersion, Streams: metas}); err != nil {
-		return fmt.Errorf("slicenstitch: engine checkpoint header: %w", err)
-	}
-	for _, name := range names {
-		s, err := e.shard(name)
-		if err != nil {
-			return fmt.Errorf("slicenstitch: checkpoint stream %q: %w", name, err)
-		}
-		var buf bytes.Buffer
-		var lsn uint64
-		if err := s.control(ctx, shardMsg{op: opCheckpoint, w: &buf, lsn: &lsn}); err != nil {
-			return fmt.Errorf("slicenstitch: checkpoint stream %q: %w", name, err)
-		}
-		if err := enc.Encode(engineStreamBlob{LSN: lsn, Data: buf.Bytes()}); err != nil {
-			return fmt.Errorf("slicenstitch: engine checkpoint stream %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// RestoreEngine rebuilds a running engine — every stream with its tracker
-// state, mailbox sizing, and backpressure policy — from a Checkpoint
-// stream. Restored shards resume exactly where their checkpoint left off
-// and publish an initial snapshot immediately. Version-1 checkpoints
-// (written before the LSN-stamped format) are still readable, like their
-// embedded version-1 tracker blobs.
-func RestoreEngine(r io.Reader) (*Engine, error) {
-	dec := gob.NewDecoder(r)
-	var h engineHeader
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("slicenstitch: restore engine header: %w", err)
-	}
-	if h.Version != 1 && h.Version != engineCheckpointVersion {
-		return nil, fmt.Errorf("%w: unsupported engine checkpoint version %d", ErrCorruptCheckpoint, h.Version)
-	}
-	e := NewEngine()
-	// Shards restored before a failure have live writer goroutines; shut
-	// them down rather than leak them when a later stream is corrupt.
-	restored := false
-	defer func() {
-		if !restored {
-			e.Close()
-		}
-	}()
-	for _, meta := range h.Streams {
-		var blob engineStreamBlob
-		if h.Version == 1 {
-			// v1 wrote bare tracker blobs with no LSN stamp.
-			if err := dec.Decode(&blob.Data); err != nil {
-				return nil, fmt.Errorf("slicenstitch: restore stream %q: %w", meta.Name, err)
-			}
-		} else if err := dec.Decode(&blob); err != nil {
-			return nil, fmt.Errorf("slicenstitch: restore stream %q: %w", meta.Name, err)
-		}
-		tr, err := Restore(bytes.NewReader(blob.Data))
-		if err != nil {
-			return nil, fmt.Errorf("slicenstitch: restore stream %q: %w", meta.Name, err)
-		}
-		cfg := StreamConfig{
-			Config:          tr.cfg,
-			MailboxCapacity: meta.MailboxCapacity,
-			Backpressure:    Backpressure(meta.Backpressure),
-			PublishEvery:    meta.PublishEvery,
-		}.withDefaults()
-		if err := cfg.validate(); err != nil {
-			return nil, fmt.Errorf("slicenstitch: restore stream %q: %w", meta.Name, err)
-		}
-		if _, err := e.addShard(meta.Name, cfg, tr, nil); err != nil {
-			return nil, err
-		}
-	}
-	restored = true
-	return e, nil
 }

@@ -18,6 +18,7 @@ import (
 	"slicenstitch/internal/anomaly"
 	"slicenstitch/internal/core"
 	"slicenstitch/internal/datagen"
+	"slicenstitch/internal/dataset"
 	"slicenstitch/internal/stream"
 	"slicenstitch/internal/window"
 )
@@ -47,13 +48,13 @@ func main() {
 
 	var tuples []stream.Tuple
 	if *input != "" {
-		f, err := os.Open(*input)
+		r, err := dataset.Open(*input, dataset.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		s, err := stream.ReadCSV(f, p.Dims)
-		f.Close()
+		s, err := dataset.Collect(r, p.Dims)
+		r.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -15,7 +15,7 @@ import (
 	"os"
 
 	"slicenstitch/internal/datagen"
-	"slicenstitch/internal/stream"
+	"slicenstitch/internal/dataset"
 )
 
 func main() {
@@ -36,13 +36,13 @@ func main() {
 	}
 
 	if *summarize != "" {
-		f, err := os.Open(*summarize)
+		r, err := dataset.Open(*summarize, dataset.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		s, err := stream.ReadCSV(f, p.Dims)
+		defer r.Close()
+		s, err := dataset.Collect(r, p.Dims)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

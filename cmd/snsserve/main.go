@@ -1,19 +1,23 @@
 // Command snsserve runs a live multi-stream continuous-CPD service: a
-// sharded engine tracks one CP model per named tensor stream, each shard
-// fed by its own simulated (or HTTP-ingested) stream — the "time-critical
-// application" setting the paper motivates, where every decomposition must
-// be inspectable at any instant, not once per period.
+// sharded engine tracks one CP model per named tensor stream, and every
+// decomposition can be inspected at any instant over HTTP while events
+// keep arriving — the "time-critical application" setting the paper
+// motivates, where a model must be readable at any time, not once per
+// period.
 //
-// Each -streams entry becomes one engine shard seeded from a dataset
-// preset; external streams can be ingested through the HTTP batch
-// endpoint. See newMux for the endpoint list.
+// The server is a pure API over the engine: events arrive through the
+// HTTP batch endpoint (snsgen | snsload -create replays a synthetic or
+// real trace), and streams are defined at runtime with POST /v1/streams.
+// Each -streams entry declares one stream at boot, shaped from a dataset
+// preset and the per-stream flags, unless the engine already holds it; a
+// declared stream starts unstarted and unfed. See newMux for the
+// endpoint list.
 //
 // Usage:
 //
-//	snsserve -streams NewYorkTaxi,ChicagoCrime -addr :8080 -speed 1000
+//	snsserve -addr :8080                              # zero streams; define them over HTTP
 //	snsserve -streams "taxi=NewYorkTaxi,bikes=DivvyBikes" -backpressure drop-oldest
 //	snsserve -data-dir /var/lib/sns -fsync interval   # WAL + crash recovery
-//	snsserve -checkpoint /var/lib/sns.ckpt            # restore if present, save on shutdown
 //	snsserve -follow http://leader:8080 -data-dir /var/lib/sns-replica   # read replica
 //
 // With -follow the process is a read replica: it mirrors the leader's
@@ -23,15 +27,12 @@
 // "read_only". /readyz reports ready only once every stream is tailing
 // within -ready-max-lag records of the leader.
 //
-// With -data-dir the engine runs its durability subsystem: every ingested
-// batch is written ahead to a per-stream segmented WAL, background
-// checkpoints bound recovery time, and a restarted snsserve recovers all
-// stream state from the data directory — a crash loses at most the
-// unsynced WAL tail (none under -fsync always) instead of everything
-// since the last shutdown checkpoint. When a data dir is configured the
-// -checkpoint file is no longer the recovery story: it is still written
-// at shutdown as a portable export, but best-effort (an error is logged,
-// not fatal).
+// With -data-dir the engine runs its durability subsystem, the one
+// persistence story: every ingested batch is written ahead to a
+// per-stream segmented WAL, background checkpoints bound recovery time,
+// and a restarted snsserve recovers all stream state from the data
+// directory — a crash loses at most the unsynced WAL tail (none under
+// -fsync always).
 package main
 
 import (
@@ -44,7 +45,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -58,14 +58,12 @@ import (
 type serveConfig struct {
 	streams      string
 	addr         string
-	speed        float64
 	rank         int
 	w            int
 	parallelism  int
 	mailbox      int
 	backpressure string
 	publishEvery int
-	checkpoint   string
 	dataDir      string
 	fsync        string
 	pprofAddr    string
@@ -77,16 +75,14 @@ type serveConfig struct {
 
 func main() {
 	var cfg serveConfig
-	flag.StringVar(&cfg.streams, "streams", "NewYorkTaxi", "comma-separated streams, each `preset` or `name=preset`")
+	flag.StringVar(&cfg.streams, "streams", "", "comma-separated streams to declare at boot, each `preset` or `name=preset`; created unstarted unless the engine already holds them")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "HTTP listen address")
-	flag.Float64Var(&cfg.speed, "speed", 1000, "stream ticks simulated per wall second, per stream")
 	flag.IntVar(&cfg.rank, "rank", 12, "CP rank")
 	flag.IntVar(&cfg.w, "w", 10, "window length")
 	flag.IntVar(&cfg.parallelism, "parallelism", 0, "row-solve workers per stream; 0 or 1 is sequential (bit-identical either way)")
 	flag.IntVar(&cfg.mailbox, "mailbox", 256, "per-stream mailbox capacity in batches")
 	flag.StringVar(&cfg.backpressure, "backpressure", "block", "full-mailbox policy: block, drop-oldest, or error")
 	flag.IntVar(&cfg.publishEvery, "publish-every", 256, "events between snapshot publishes")
-	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "engine checkpoint path: restore from it if present, save on shutdown (best-effort when -data-dir is set)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: per-stream WAL + background checkpoints, crash recovery on boot")
 	flag.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy with -data-dir: always, interval, or never")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")
@@ -136,156 +132,17 @@ func pprofMux() *http.ServeMux {
 }
 
 func run(cfg serveConfig) error {
-	streams, addr, speed := cfg.streams, cfg.addr, cfg.speed
-	rank, w, mailbox := cfg.rank, cfg.w, cfg.mailbox
-	publishEvery := cfg.publishEvery
-	checkpoint, dataDir, fsync := cfg.checkpoint, cfg.dataDir, cfg.fsync
-	bp, err := parseBackpressure(cfg.backpressure)
+	e, err := boot(cfg)
 	if err != nil {
 		return err
-	}
-	// The negated form also rejects NaN, which passes any plain comparison.
-	if !(speed >= 1e-9 && speed <= 1e9) {
-		return fmt.Errorf("speed must be in [1e-9, 1e9], got %g", speed)
-	}
-
-	// Boot order: a data dir is the primary durability story — WAL
-	// recovery rebuilds every stream the previous process ever added.
-	// Without one, a -checkpoint file restore is the legacy fallback.
-	var e *slicenstitch.Engine
-	restored := false
-	specs, err := parseStreams(streams)
-	if err != nil {
-		return err
-	}
-	switch {
-	case cfg.follow != "":
-		// Follower mode: the engine is a read replica — it mirrors the
-		// leader's stream set, bootstraps from checkpoints, and tails the
-		// leader's WAL. No feeders run; writes return ErrReadOnly.
-		if dataDir == "" {
-			return errors.New("-follow requires -data-dir (the replica persists its copy locally)")
-		}
-		policy, perr := slicenstitch.ParseFsyncPolicy(fsync)
-		if perr != nil {
-			return perr
-		}
-		e, err = slicenstitch.Open(slicenstitch.Options{
-			Durability: &slicenstitch.DurabilityOptions{Dir: dataDir, Fsync: policy},
-			Follower:   &slicenstitch.FollowerOptions{Leader: cfg.follow},
-		})
-		if err != nil {
-			return fmt.Errorf("open follower %s: %w", dataDir, err)
-		}
-		slog.Info("following leader", "leader", cfg.follow, "dir", dataDir,
-			"recovered", len(e.Streams()), "readyMaxLag", cfg.readyMaxLag)
-	case dataDir != "":
-		policy, perr := slicenstitch.ParseFsyncPolicy(fsync)
-		if perr != nil {
-			return perr
-		}
-		e, err = slicenstitch.Open(slicenstitch.Options{Durability: &slicenstitch.DurabilityOptions{
-			Dir:   dataDir,
-			Fsync: policy,
-		}})
-		if err != nil {
-			return fmt.Errorf("recover %s: %w", dataDir, err)
-		}
-		if n := len(e.Streams()); n > 0 {
-			restored = true
-			slog.Info("recovered streams from data dir",
-				"streams", n, "dir", dataDir, "fsync", policy.String())
-		} else {
-			slog.Info("durable data dir initialized", "dir", dataDir, "fsync", policy.String())
-		}
-	case checkpoint != "":
-		f, ferr := os.Open(checkpoint)
-		switch {
-		case ferr == nil:
-			e, err = slicenstitch.RestoreEngine(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("restore %s: %w", checkpoint, err)
-			}
-			restored = true
-			slog.Info("restored streams from checkpoint",
-				"streams", len(e.Streams()), "path", checkpoint)
-		case !os.IsNotExist(ferr):
-			// Anything but "no checkpoint yet" must not silently start
-			// fresh — shutdown would overwrite the unreadable file.
-			return fmt.Errorf("open checkpoint: %w", ferr)
-		}
-	}
-	if e == nil {
-		e = slicenstitch.NewEngine()
 	}
 	defer e.Close()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// One feeder per simulated stream, each holding the stream's *Stream
-	// handle (one registry lookup at startup, none per batch) and batching
-	// a tick's tuples into a single PushBatch. Restored streams serve
-	// their checkpointed models and HTTP ingestion only — the simulators'
-	// clock positions are gone — but -streams entries absent from the
-	// checkpoint are created fresh and fed as usual.
-	existing := map[string]bool{}
-	for _, n := range e.Streams() {
-		existing[n] = true
-	}
-	if cfg.follow != "" {
-		specs = nil // a replica never feeds itself; streams come from the leader
-	}
-	for _, sp := range specs {
-		if restored && existing[sp.name] {
-			// A checkpoint taken mid-warm-up holds an unstarted stream;
-			// resume its feeder from the tick after the restored clock so
-			// the stream still comes online. Warm-up length and pacing
-			// come from the shard's checkpointed config (snapshot W and
-			// queue capacity), not the current flags.
-			st, serr := e.Stream(sp.name)
-			if serr != nil {
-				return serr
-			}
-			if snap := st.Snapshot(); !snap.Started {
-				slog.Info("restored stream is unstarted, resuming warm-up", "stream", sp.name)
-				go feed(ctx, st, sp.preset, speed,
-					int64(snap.W)*sp.preset.DefaultPeriod, snap.QueueCap, snap.Now+1)
-			}
-			continue
-		}
-		var st *slicenstitch.Stream
-		if !existing[sp.name] {
-			st, err = e.AddStream(sp.name, slicenstitch.StreamConfig{
-				Config: slicenstitch.Config{
-					Dims:        sp.preset.Dims,
-					W:           w,
-					Period:      sp.preset.DefaultPeriod,
-					Rank:        rank,
-					Seed:        1,
-					Parallelism: cfg.parallelism,
-				},
-				MailboxCapacity: mailbox,
-				Backpressure:    bp,
-				PublishEvery:    publishEvery,
-				RateLimit:       cfg.rateLimit,
-				RateBurst:       cfg.rateBurst,
-			})
-			if err != nil {
-				return err
-			}
-			if restored {
-				slog.Info("stream not in checkpoint, created fresh", "stream", sp.name)
-			}
-		} else if st, err = e.Stream(sp.name); err != nil {
-			return err
-		}
-		go feed(ctx, st, sp.preset, speed, int64(w)*sp.preset.DefaultPeriod, mailbox, 0)
-	}
-
 	srv := &http.Server{
-		Addr:              addr,
+		Addr:              cfg.addr,
 		Handler:           newMux(e, cfg.readyMaxLag),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -294,8 +151,7 @@ func run(cfg serveConfig) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	slog.Info("serving", "streams", len(e.Streams()), "addr", addr,
-		"speed", speed, "backpressure", bp.String())
+	slog.Info("serving", "streams", len(e.Streams()), "addr", cfg.addr)
 
 	if cfg.pprofAddr != "" {
 		// The profiling surface gets its own listener so it can bind
@@ -320,53 +176,91 @@ func run(cfg serveConfig) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		slog.Warn("http shutdown", "err", err)
 	}
-	if checkpoint != "" {
-		if err := saveCheckpoint(e, checkpoint); err != nil {
-			if dataDir != "" {
-				// The WAL already made the state durable; the export file
-				// is a convenience and must not turn shutdown into a
-				// failure.
-				slog.Warn("shutdown checkpoint failed (state is WAL-durable)",
-					"path", checkpoint, "err", err)
-			} else {
-				return err
-			}
-		} else {
-			slog.Info("checkpointed streams", "streams", len(e.Streams()), "path", checkpoint)
-		}
-	}
 	return e.Close()
 }
 
-// saveCheckpoint atomically writes the whole-engine checkpoint.
-func saveCheckpoint(e *slicenstitch.Engine, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// boot opens the engine — a follower, a durable engine, or an in-memory
+// one — and declares the -streams entries on it. A stream the engine
+// already holds (recovered from -data-dir) is kept as recovered; a
+// follower declares nothing, because its stream set mirrors the leader's.
+func boot(cfg serveConfig) (*slicenstitch.Engine, error) {
+	bp, err := parseBackpressure(cfg.backpressure)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	err = e.Checkpoint(context.Background(), f)
-	if err == nil {
-		// The rename below is only crash-safe if the data reaches disk
-		// first; otherwise it can replace the old good checkpoint with a
-		// truncated file.
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	specs, err := parseStreams(cfg.streams)
 	if err != nil {
-		os.Remove(tmp)
-		return err
+		return nil, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
+	e, err := openEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
-		dir.Sync()
-		dir.Close()
+	if cfg.follow != "" {
+		return e, nil
 	}
-	return nil
+	existing := map[string]bool{}
+	for _, n := range e.Streams() {
+		existing[n] = true
+	}
+	for _, sp := range specs {
+		if existing[sp.name] {
+			continue
+		}
+		if _, err := e.AddStream(sp.name, slicenstitch.StreamConfig{
+			Config: slicenstitch.Config{
+				Dims:        sp.preset.Dims,
+				W:           cfg.w,
+				Period:      sp.preset.DefaultPeriod,
+				Rank:        cfg.rank,
+				Seed:        1,
+				Parallelism: cfg.parallelism,
+			},
+			MailboxCapacity: cfg.mailbox,
+			Backpressure:    bp,
+			PublishEvery:    cfg.publishEvery,
+			RateLimit:       cfg.rateLimit,
+			RateBurst:       cfg.rateBurst,
+		}); err != nil {
+			e.Close()
+			return nil, err
+		}
+		slog.Info("declared stream", "stream", sp.name, "preset", sp.preset.Name)
+	}
+	return e, nil
+}
+
+// openEngine opens the engine -follow and -data-dir ask for: a read
+// replica, a durable engine recovered from its data dir, or (neither set)
+// an in-memory engine.
+func openEngine(cfg serveConfig) (*slicenstitch.Engine, error) {
+	var opts slicenstitch.Options
+	if cfg.dataDir != "" {
+		policy, err := slicenstitch.ParseFsyncPolicy(cfg.fsync)
+		if err != nil {
+			return nil, err
+		}
+		opts.Durability = &slicenstitch.DurabilityOptions{Dir: cfg.dataDir, Fsync: policy}
+	}
+	if cfg.follow != "" {
+		if cfg.dataDir == "" {
+			return nil, errors.New("-follow requires -data-dir (the replica persists its copy locally)")
+		}
+		opts.Follower = &slicenstitch.FollowerOptions{Leader: cfg.follow}
+	}
+	e, err := slicenstitch.Open(opts)
+	if err != nil {
+		return nil, fmt.Errorf("open engine: %w", err)
+	}
+	switch {
+	case cfg.follow != "":
+		slog.Info("following leader", "leader", cfg.follow, "dir", cfg.dataDir,
+			"recovered", len(e.Streams()), "readyMaxLag", cfg.readyMaxLag)
+	case cfg.dataDir != "":
+		slog.Info("opened data dir", "dir", cfg.dataDir, "fsync", cfg.fsync,
+			"recovered", len(e.Streams()))
+	}
+	return e, nil
 }
 
 // streamSpec pairs a stream name with its dataset preset.
@@ -414,81 +308,4 @@ func parseBackpressure(s string) (slicenstitch.Backpressure, error) {
 		return slicenstitch.BackpressureError, nil
 	}
 	return 0, fmt.Errorf("unknown backpressure policy %q (want block, drop-oldest, or error)", s)
-}
-
-// feed simulates one stream through its handle: fills the initial window
-// in per-tick batches (starting at tick `from` — nonzero when resuming a
-// restored warm-up, so already-applied ticks are neither replayed nor
-// double-counted), warm-starts the shard, then pushes batches paced to
-// `speed` ticks per wall second until the context is cancelled. All
-// blocking calls carry ctx, so shutdown interrupts even a feeder stuck on
-// a full mailbox under BackpressureBlock.
-func feed(ctx context.Context, st *slicenstitch.Stream, p datagen.Preset, speed float64, t0 int64, mailbox int, from int64) {
-	name := st.Name()
-	gen := datagen.NewGenerator(p, 42)
-	push := func(t int64) bool {
-		tuples := gen.Tick(t)
-		batch := make([]slicenstitch.Event, len(tuples))
-		for i, tp := range tuples {
-			batch[i] = slicenstitch.Event{Coord: tp.Coord, Value: tp.Value, Time: tp.Time}
-		}
-		if err := st.PushBatch(ctx, batch); err != nil {
-			switch {
-			case errors.Is(err, slicenstitch.ErrBackpressure):
-				slog.Warn("batch rejected (backpressure)", "stream", name)
-			case errors.Is(err, slicenstitch.ErrRateLimited):
-				// The simulator offers more than the admission limit
-				// allows; the refused tick is dropped, like any
-				// over-limit producer's would be.
-				slog.Warn("batch rejected (rate limited)", "stream", name)
-			default:
-				slog.Error("feeder stopping", "stream", name, "err", err)
-				return false
-			}
-		}
-		return true
-	}
-	// Pace the unthrottled warm-up with periodic Flush barriers so the
-	// mailbox never fills: the initial window must be complete before
-	// Start regardless of the backpressure policy. A barrier every k ≤
-	// capacity ticks guarantees at most k queued batches between flushes.
-	flushEvery := int64(mailbox)
-	if flushEvery > 64 {
-		flushEvery = 64
-	}
-	if flushEvery < 1 {
-		flushEvery = 1
-	}
-	t := from
-	for ; t <= t0; t++ {
-		if !push(t) {
-			return
-		}
-		if t%flushEvery == 0 {
-			if err := st.Flush(ctx); err != nil {
-				slog.Error("warm-up flush failed", "stream", name, "err", err)
-				return
-			}
-		}
-	}
-	if err := st.Start(ctx); err != nil {
-		slog.Error("warm-start failed", "stream", name, "err", err)
-		return
-	}
-	snap := st.Snapshot()
-	slog.Info("stream online", "stream", name, "time", snap.Now, "fitness", snap.Fitness)
-	interval := time.Duration(float64(time.Second) / speed)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			t++
-			if !push(t) {
-				return
-			}
-		}
-	}
 }

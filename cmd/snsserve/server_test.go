@@ -9,12 +9,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
 	"slicenstitch"
+	"slicenstitch/internal/datagen"
 )
 
 func newTestServer(t *testing.T) (*slicenstitch.Engine, *httptest.Server) {
@@ -524,25 +526,142 @@ func TestParseBackpressure(t *testing.T) {
 	}
 }
 
-// TestSaveCheckpointRoundTrip writes an engine checkpoint through the
-// server's atomic-save helper and restores it.
+// bootConfig is a serveConfig with small per-stream flag values, as
+// main would fill it from the command line.
+func bootConfig(streams, dataDir string) serveConfig {
+	return serveConfig{
+		streams: streams, rank: 4, w: 3, mailbox: 16, backpressure: "drop-oldest",
+		publishEvery: 8, dataDir: dataDir, fsync: "never", readyMaxLag: 1024,
+		rateLimit: 50, rateBurst: 100,
+	}
+}
+
+// TestBoot pins the open-and-declare half of run: what -streams and
+// -follow leave in the engine before it serves; TestSaveCheckpointRoundTrip
+// covers -data-dir.
+func TestBoot(t *testing.T) {
+	bootOK := func(t *testing.T, cfg serveConfig) *slicenstitch.Engine {
+		t.Helper()
+		e, err := boot(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+
+	t.Run("empty streams boots zero streams", func(t *testing.T) {
+		// The invocation perfbench and the CI replay smoke use.
+		if got := bootOK(t, bootConfig("", "")).Streams(); len(got) != 0 {
+			t.Fatalf("streams = %v, want none", got)
+		}
+	})
+
+	t.Run("listed stream is created unstarted from the flags", func(t *testing.T) {
+		cfg := bootConfig("taxi=NewYorkTaxi", "")
+		e := bootOK(t, cfg)
+		st, err := e.Stream("taxi")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := datagen.PresetByName("NewYorkTaxi")
+		p = p.Bench()
+		got := st.Config()
+		if !reflect.DeepEqual(got.Dims, p.Dims) || got.Period != p.DefaultPeriod ||
+			got.W != cfg.w || got.Rank != cfg.rank || got.MailboxCapacity != cfg.mailbox ||
+			got.Backpressure != slicenstitch.BackpressureDropOldest || got.PublishEvery != cfg.publishEvery ||
+			got.RateLimit != cfg.rateLimit || got.RateBurst != cfg.rateBurst {
+			t.Fatalf("config %+v does not follow the flags %+v", got, cfg)
+		}
+		if snap := st.Snapshot(); snap.Started || snap.Ingested != 0 {
+			t.Fatalf("declared stream is started or fed: %+v", snap)
+		}
+	})
+
+	t.Run("follow ignores streams", func(t *testing.T) {
+		_, _, leader := newLeaderServer(t)
+		cfg := bootConfig("taxi=NewYorkTaxi", t.TempDir())
+		cfg.follow = leader.URL
+		e := bootOK(t, cfg)
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			got := e.Streams()
+			if reflect.DeepEqual(got, []string{"test"}) {
+				break // mirrored the leader, declared nothing
+			}
+			if len(got) > 1 || (len(got) == 1 && got[0] != "test") || time.Now().After(deadline) {
+				t.Fatalf("follower streams = %v, want exactly the leader's [test]", got)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
+// TestSaveCheckpointRoundTrip checks that a -data-dir server's state
+// survives a restart: the clean shutdown saves each stream's checkpoint,
+// and boot keeps a recovered stream — events, fitness, WAL position and
+// original rank — instead of recreating it, while an absent -streams
+// entry is created beside it.
 func TestSaveCheckpointRoundTrip(t *testing.T) {
-	e, _ := newTestServer(t)
-	path := t.TempDir() + "/sns.ckpt"
-	if err := saveCheckpoint(e, path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
+	dir := t.TempDir()
+	e, err := boot(bootConfig("taxi=NewYorkTaxi", dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	got, err := slicenstitch.RestoreEngine(f)
+	bg := context.Background()
+	st, _ := e.Stream("taxi")
+	dims, period := st.Config().Dims, st.Config().Period
+	rng := rand.New(rand.NewSource(1))
+	push := func(from, to int64) {
+		var batch []slicenstitch.Event
+		for tm := from; tm < to; tm += period / 4 {
+			batch = append(batch, slicenstitch.Event{
+				Coord: []int{rng.Intn(dims[0]), rng.Intn(dims[1])}, Value: 1, Time: tm,
+			})
+		}
+		if err := st.PushBatch(bg, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push(0, 3*period)
+	if err := st.Start(bg); err != nil {
+		t.Fatal(err)
+	}
+	push(3*period, 4*period)
+	if err := st.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Snapshot()
+	if before.Events == 0 || before.WALNextLSN == 0 {
+		t.Fatalf("nothing applied before restart: %+v", before)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The clean shutdown saved a checkpoint of the stream.
+	if ckpts, err := filepath.Glob(filepath.Join(dir, "streams", "taxi", "ckpt-*")); err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoint saved at shutdown: %v (%v)", ckpts, err)
+	}
+
+	cfg := bootConfig("taxi=NewYorkTaxi,crime=ChicagoCrime", dir)
+	cfg.rank = 5 // a recreated taxi would pick this up
+	e2, err := boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Close()
-	if streams := got.Streams(); len(streams) != 1 || streams[0] != "test" {
-		t.Fatalf("restored streams = %v", streams)
+	defer e2.Close()
+	if got := e2.Streams(); !reflect.DeepEqual(got, []string{"crime", "taxi"}) {
+		t.Fatalf("streams = %v", got)
+	}
+	taxi, _ := e2.Stream("taxi")
+	after := taxi.Snapshot()
+	if taxi.Config().Rank != 4 || !after.Started || after.Events != before.Events ||
+		after.WALNextLSN != before.WALNextLSN || after.Fitness != before.Fitness {
+		t.Fatalf("recovered taxi rank %d, snapshot %+v; want the pre-restart %+v",
+			taxi.Config().Rank, after, before)
+	}
+	crime, _ := e2.Stream("crime")
+	if crime.Config().Rank != 5 || crime.Snapshot().Started {
+		t.Fatalf("absent entry not created fresh: rank %d", crime.Config().Rank)
 	}
 }

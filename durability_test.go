@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"slicenstitch/internal/repl"
 	"slicenstitch/internal/wal"
 )
 
@@ -674,8 +675,7 @@ func TestRecoveryRejectsCorruptConfig(t *testing.T) {
 	}
 }
 
-// Restore must reject checkpoints from future format versions, both at
-// the tracker and the engine level.
+// Restore must reject checkpoints from future format versions.
 func TestRestoreRejectsVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(checkpointHeader{Version: 99, Config: Config{Dims: []int{2}, Period: 1}}); err != nil {
@@ -684,63 +684,52 @@ func TestRestoreRejectsVersionMismatch(t *testing.T) {
 	if _, err := Restore(&buf); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("tracker restore of v99: %v", err)
 	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(engineHeader{Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreEngine(&buf); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("engine restore of v99: %v", err)
-	}
 }
 
-// Engine.Checkpoint on a durable engine stamps each stream's WAL
-// position, and the result round-trips through RestoreEngine.
+// The engine's live checkpoint capture (opCheckpoint, on the writer
+// goroutine) is stamped with the shard's WAL position. A replication
+// bootstrap taken before any checkpoint file exists goes through it: the
+// blob holds exactly the effects of records [0, LSN), so a follower that
+// restores it and tails from LSN neither skips nor repeats a record.
 func TestEngineCheckpointLSNStamp(t *testing.T) {
 	dir := t.TempDir()
 	e, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	cfg := durTestConfig(SNSVecPlus, 3)
 	st, err := e.AddStream("s", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	applyOpsToStream(t, st, genDurOps(rng, cfg.Dims, 60, 40))
+	ops := genDurOps(rng, cfg.Dims, 60, 40)
+	applyOpsToStream(t, st, ops)
+	if lsns, err := listCheckpoints(filepath.Join(streamsRoot(dir), encodeStreamDir("s"))); err != nil || len(lsns) != 0 {
+		t.Fatalf("checkpoint files %v (%v); the live-capture path needs none", lsns, err)
+	}
 	var buf bytes.Buffer
-	if err := e.Checkpoint(context.Background(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Decode the header + first blob to check the stamp.
-	dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
-	var h engineHeader
-	if err := dec.Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	var blob engineStreamBlob
-	if err := dec.Decode(&blob); err != nil {
-		t.Fatal(err)
-	}
-	if blob.LSN == 0 {
-		t.Fatal("durable engine checkpoint has no LSN stamp")
-	}
-	restored, err := RestoreEngine(bytes.NewReader(buf.Bytes()))
+	lsn, err := e.WriteBootstrap(context.Background(), "s", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	if got := restored.Streams(); len(got) != 1 || got[0] != "s" {
-		t.Fatalf("restored streams %v", got)
+	gotLSN, _, ckpt, err := repl.ReadBootstrap(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != uint64(len(ops)) || gotLSN != lsn {
+		t.Fatalf("bootstrap LSN %d (blob %d), want %d: one WAL record per op", lsn, gotLSN, len(ops))
+	}
+	ref := applyOpsToTracker(t, cfg.Config, ops)
+	if !bytes.Equal(ckpt, checkpointBytes(t, ref)) {
+		t.Fatal("bootstrap checkpoint differs from the uninterrupted run over records [0, LSN)")
 	}
 }
 
-// Version-1 checkpoints — engine files with bare tracker blobs, tracker
-// blobs without aux state — must still restore (Gram matrices recomputed,
-// sampler reseeded: the documented v1 semantics).
+// Version-1 tracker checkpoints — no aux state — must still restore
+// (Gram matrices recomputed, sampler reseeded: the documented v1
+// semantics).
 func TestRestoreAcceptsVersion1Formats(t *testing.T) {
 	cfg := durTestConfig(SNSVecPlus, 7)
 	tr, err := New(cfg.Config)
@@ -778,30 +767,6 @@ func TestRestoreAcceptsVersion1Formats(t *testing.T) {
 	}
 	if restored.Events() != tr.Events() || restored.Now() != tr.Now() {
 		t.Fatal("v1 tracker restore lost state")
-	}
-
-	// And a v1 engine checkpoint: v1 header + bare []byte blobs.
-	var v1eng bytes.Buffer
-	enc := gob.NewEncoder(&v1eng)
-	if err := enc.Encode(engineHeader{Version: 1, Streams: []engineStreamMeta{
-		{Name: "legacy", MailboxCapacity: 64, PublishEvery: 128},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(v1tr.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	e, err := RestoreEngine(bytes.NewReader(v1eng.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 engine restore: %v", err)
-	}
-	defer e.Close()
-	snap, err := e.Snapshot("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Started || snap.QueueCap != 64 {
-		t.Fatalf("v1 engine restore lost state: %+v", snap)
 	}
 }
 

@@ -245,10 +245,10 @@ func TestEngineDropOldestAccounting(t *testing.T) {
 	t.Logf("dropped %d/%d batches, ingested %d events", snap.Dropped, nBatches, snap.Ingested)
 }
 
-// Engine.Checkpoint must be safe to run concurrently with batched
-// ingestion and stream add/remove churn (run under -race in CI). Errors
-// from checkpointing a stream that vanished mid-iteration are expected;
-// data races and deadlocks are not.
+// Stream.Checkpoint (the opCheckpoint control message) must be safe to
+// run concurrently with batched ingestion and stream add/remove churn
+// (run under -race in CI). Errors from checkpointing a stream that
+// vanished mid-iteration are expected; data races and deadlocks are not.
 func TestEngineCheckpointConcurrentWithIngestAndRemove(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -299,22 +299,35 @@ func TestEngineCheckpointConcurrentWithIngestAndRemove(t *testing.T) {
 	}()
 
 	for i := 0; i < 15; i++ {
-		_ = e.Checkpoint(bg, io.Discard) // unknown-stream errors are fine
+		for _, name := range e.Streams() {
+			if st, err := e.Stream(name); err == nil {
+				_ = st.Checkpoint(bg, io.Discard) // stopped-stream errors are fine
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()
 
-	// With the churn settled, a final checkpoint must round-trip.
-	var buf bytes.Buffer
-	if err := e.Checkpoint(bg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if got := len(restored.Streams()); got != 2 {
-		t.Fatalf("restored %d streams want 2", got)
+	// With the churn settled, every stream's checkpoint must round-trip.
+	for _, name := range []string{"steady", "churn"} {
+		st, err := e.Stream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(bg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := st.Checkpoint(bg, &buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if snap := st.Snapshot(); restored.Events() != snap.Events || restored.NNZ() != snap.NNZ {
+			t.Fatalf("%s: restored events/nnz %d/%d, snapshot %d/%d",
+				name, restored.Events(), restored.NNZ(), snap.Events, snap.NNZ)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,9 +410,17 @@ func mustSnap(t *testing.T, e *Engine, name string) Snapshot {
 	return snap
 }
 
+// TestEngineCheckpointRestore checks that an engine's streams come back
+// from their checkpoints: a durable engine checkpoints each shard on its
+// writer goroutine, and reopening the data directory rebuilds every
+// stream — tracker state, serving config, both the started and the
+// offline phase — live and ready for new work.
 func TestEngineCheckpointRestore(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
+	dir := t.TempDir()
+	e, err := Open(Options{Durability: &DurabilityOptions{Dir: dir, CheckpointEvery: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfgA := validStreamConfig()
 	cfgA.MailboxCapacity = 17
 	cfgA.Backpressure = BackpressureDropOldest
@@ -427,21 +436,25 @@ func TestEngineCheckpointRestore(t *testing.T) {
 	if err := e.PushBatch(bg, "b", []Event{{Coord: []int{1, 1}, Value: 2, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := e.Checkpoint(bg, &buf); err != nil {
+	if err := e.FlushAll(bg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := RestoreEngine(&buf)
+	want, _ := e.Snapshot("a")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lsns, err := listCheckpoints(filepath.Join(streamsRoot(dir), encodeStreamDir("a"))); err != nil || len(lsns) == 0 {
+		t.Fatalf("stream a has no checkpoint file: %v (%v)", lsns, err)
+	}
+
+	got, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-
 	if streams := got.Streams(); len(streams) != 2 || streams[0] != "a" || streams[1] != "b" {
 		t.Fatalf("restored streams = %v", streams)
 	}
-	want, _ := e.Snapshot("a")
 	snap, err := got.Snapshot("a")
 	if err != nil {
 		t.Fatal(err)
@@ -467,16 +480,24 @@ func TestEngineCheckpointRestore(t *testing.T) {
 		t.Fatalf("restored engine did not apply new event: %d", snap.Events)
 	}
 
-	if _, err := RestoreEngine(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// A checkpoint truncated mid-stream fails cleanly (and shuts down the
-	// shards restored before the corruption).
-	var buf2 bytes.Buffer
-	if err := e.Checkpoint(bg, &buf2); err != nil {
+	// A stream's own checkpoint restores to the same state, and a
+	// truncated one fails cleanly.
+	st, err := got.Stream("a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreEngine(bytes.NewReader(buf2.Bytes()[:buf2.Len()-50])); err == nil {
+	var buf bytes.Buffer
+	if err := st.Checkpoint(bg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Restore(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Events() != snap.Events || !tr.Started() {
+		t.Fatalf("restored tracker: events=%d started=%v, want %d started", tr.Events(), tr.Started(), snap.Events)
+	}
+	if _, err := Restore(bytes.NewReader(buf.Bytes()[:buf.Len()-50])); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the package's complete error taxonomy. Every error a
-// Tracker, SafeTracker, Engine, or Stream returns either IS one of the
-// sentinels below, WRAPS one (matchable with errors.Is), or is one of the
+// Tracker, Engine, or Stream returns either IS one of the sentinels
+// below, WRAPS one (matchable with errors.Is), or is one of the
 // structured types (matchable with errors.As) — so callers branch on
 // values, never on error strings. The HTTP layer in cmd/snsserve maps the
 // same taxonomy onto its uniform JSON error envelope.

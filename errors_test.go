@@ -199,26 +199,6 @@ func TestPushRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestSafeTrackerPushBatch checks the lock-guarded wrapper forwards the
-// joined rejections unchanged.
-func TestSafeTrackerPushBatch(t *testing.T) {
-	s, err := NewSafe(validConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, err := s.PushBatch([]Event{
-		{Coord: []int{0, 0}, Value: 1, Time: 0},
-		{Coord: []int{99, 0}, Value: 1, Time: 0},
-	})
-	if applied != 1 {
-		t.Fatalf("applied = %d, want 1", applied)
-	}
-	var rej *RejectError
-	if !errors.As(err, &rej) || rej.Index != 1 {
-		t.Fatalf("err = %v, want *RejectError{Index: 1}", err)
-	}
-}
-
 // TestErrorTaxonomyEngine covers the engine- and handle-level sentinels,
 // including the removed-while-handle-held transition to ErrStreamStopped.
 func TestErrorTaxonomyEngine(t *testing.T) {

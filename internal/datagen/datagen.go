@@ -9,7 +9,7 @@
 // redistributable inside this offline module, and the algorithms observe
 // only (coords, value, timestamp) tuples, so matched-statistics synthetic
 // streams preserve the comparative shapes of every experiment. Real CSV
-// dumps can still be fed through stream.ReadCSV.
+// dumps can still be fed through internal/dataset.
 package datagen
 
 import (

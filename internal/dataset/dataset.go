@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"slicenstitch/internal/stream"
 )
 
 // Event is one timestamped stream tuple: categorical coordinates, a
@@ -283,4 +285,27 @@ func ScanFile(path string, opts Options) (Stats, error) {
 	}
 	defer r.Close()
 	return Scan(r)
+}
+
+// Collect drains a Reader into an in-memory stream over the mode sizes
+// dims and validates it (arity, index range, NaN values, chronological
+// order) — for tools that need the whole trace at once, like snsgen
+// -summarize and snsanomaly -input. The Reader is consumed but not
+// closed.
+func Collect(r Reader, dims []int) (*stream.Stream, error) {
+	s := stream.New(dims)
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.Append(stream.Tuple{Coord: ev.Coord, Value: ev.Value, Time: ev.Time})
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

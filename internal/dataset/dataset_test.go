@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"compress/gzip"
 	"io"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"slicenstitch/internal/stream"
 )
 
 func drain(t *testing.T, r Reader) []Event {
@@ -44,14 +47,18 @@ func TestCSVDefaultLayout(t *testing.T) {
 }
 
 func TestCSVNoHeader(t *testing.T) {
+	// Header detection (the zero Options) keeps a first row whose time
+	// parses, so a headerless file reads the same either way.
 	src := "5,1,2,3.0\n"
-	r, err := OpenReader(strings.NewReader(src), FormatCSV, Options{NoHeader: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, r)
-	if len(got) != 1 || got[0].Time != 5 || got[0].Value != 3.0 {
-		t.Fatalf("got %+v", got)
+	for _, opts := range []Options{{NoHeader: true}, {}} {
+		r, err := OpenReader(strings.NewReader(src), FormatCSV, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drain(t, r)
+		if len(got) != 1 || got[0].Time != 5 || got[0].Value != 3.0 {
+			t.Fatalf("%+v: got %+v", opts, got)
+		}
 	}
 }
 
@@ -119,6 +126,48 @@ func TestCSVMalformedRows(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCollect round-trips a stream through its one emitter (WriteCSV)
+// and this package's CSV reader, and checks Collect applies the stream's
+// validation: rows the reader accepts but the mode sizes rule out fail.
+func TestCollect(t *testing.T) {
+	dims := []int{3, 4}
+	want := stream.New(dims)
+	want.Append(stream.Tuple{Coord: []int{0, 1}, Value: 1, Time: 10})
+	want.Append(stream.Tuple{Coord: []int{2, 3}, Value: 2.5, Time: 11})
+	want.Append(stream.Tuple{Coord: []int{0, 1}, Value: -1e-300, Time: 11})
+	want.Append(stream.Tuple{Coord: []int{1, 0}, Value: 0.1, Time: 20})
+	var buf bytes.Buffer
+	if err := want.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(&buf, FormatCSV, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Collect(r, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip = %+v, want %+v", got.Tuples, want.Tuples)
+	}
+
+	for name, src := range map[string]string{
+		"out of range": "time,i1,i2,value\n1,9,0,1\n",
+		"arity":        "time,i1,value\n1,0,1\n",
+		"chronology":   "time,i1,i2,value\n5,0,0,1\n4,0,0,1\n",
+		"bad row":      "time,i1,i2,value\n1,0,0,zz\n",
+	} {
+		r, err := OpenReader(strings.NewReader(src), FormatCSV, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Collect(r, dims); err == nil {
+			t.Errorf("%s: Collect accepted %q", name, src)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // WriteCSV encodes the stream as CSV with header
 // "time,i1,...,i{M-1},value". This is the interchange format for feeding
 // real datasets (the paper's Divvy/Chicago/Taxi/RideAustin dumps) into the
-// cmd tools.
+// cmd tools, which read it back through internal/dataset.
 func (s *Stream) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, 0, len(s.Dims)+2)
@@ -35,51 +35,4 @@ func (s *Stream) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV decodes a stream written by WriteCSV. dims gives the categorical
-// mode sizes; rows whose coordinates fall outside dims are rejected.
-func ReadCSV(r io.Reader, dims []int) (*Stream, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(dims) + 2
-	s := New(dims)
-	first := true
-	line := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("stream: csv read: %w", err)
-		}
-		line++
-		if first {
-			first = false
-			if rec[0] == "time" { // header
-				continue
-			}
-		}
-		t, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("stream: line %d: bad time %q", line, rec[0])
-		}
-		coord := make([]int, len(dims))
-		for m := range dims {
-			i, err := strconv.Atoi(rec[m+1])
-			if err != nil {
-				return nil, fmt.Errorf("stream: line %d: bad coord %q", line, rec[m+1])
-			}
-			coord[m] = i
-		}
-		v, err := strconv.ParseFloat(rec[len(rec)-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("stream: line %d: bad value %q", line, rec[len(rec)-1])
-		}
-		s.Append(Tuple{Coord: coord, Value: v, Time: t})
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -97,59 +95,6 @@ func TestSummarize(t *testing.T) {
 	empty := New([]int{2}).Summarize()
 	if empty.Tuples != 0 || empty.RatePerUnit != 0 {
 		t.Errorf("empty stats = %+v", empty)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	s := sample()
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, s.Dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != s.Len() {
-		t.Fatalf("roundtrip length %d want %d", got.Len(), s.Len())
-	}
-	for i, tp := range got.Tuples {
-		want := s.Tuples[i]
-		if tp.Time != want.Time || tp.Value != want.Value {
-			t.Errorf("tuple %d = %+v want %+v", i, tp, want)
-		}
-		for m := range tp.Coord {
-			if tp.Coord[m] != want.Coord[m] {
-				t.Errorf("tuple %d coord %d = %d want %d", i, m, tp.Coord[m], want.Coord[m])
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []struct {
-		name, data string
-	}{
-		{"badtime", "x,0,0,1\n"},
-		{"badcoord", "1,zz,0,1\n"},
-		{"badvalue", "1,0,0,zz\n"},
-		{"outofrange", "1,9,0,1\n"},
-		{"fieldcount", "1,0,1\n"},
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.data), []int{3, 4}); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
-	}
-}
-
-func TestReadCSVNoHeader(t *testing.T) {
-	got, err := ReadCSV(strings.NewReader("7,1,2,3.5\n"), []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || got.Tuples[0].Value != 3.5 || got.Tuples[0].Time != 7 {
-		t.Errorf("got %+v", got.Tuples)
 	}
 }
 

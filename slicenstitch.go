@@ -424,7 +424,7 @@ func (t *Tracker) NNZ() int { return t.win.X().NNZ() }
 
 // checkIndex validates categorical coordinates and a time-mode index
 // against mode sizes dims and window length w. Shared by every predict
-// path (Tracker, SafeTracker, Engine).
+// path (Tracker, Engine).
 func checkIndex(dims []int, w int, coord []int, timeIdx int) error {
 	if len(coord) != len(dims) {
 		return &CoordError{Mode: -1, Got: len(coord), Limit: len(dims)}

@@ -199,10 +199,10 @@ func (st *Stream) Observed(ctx context.Context, coord []int, timeIdx int) (float
 }
 
 // Checkpoint serializes the stream's tracker state on its writer
-// goroutine, after all batches queued before the call. It is the
-// single-stream form of Engine.Checkpoint. The state is staged in an
-// engine-owned buffer and copied to w only on success, so a cancelled
-// call never touches w afterwards — w needs no special lifetime.
+// goroutine, after all batches queued before the call; Restore reads it
+// back. The state is staged in an engine-owned buffer and copied to w
+// only on success, so a cancelled call never touches w afterwards — w
+// needs no special lifetime.
 func (st *Stream) Checkpoint(ctx context.Context, w io.Writer) error {
 	// The writer goroutine encodes into buf; if ctx expires first the
 	// abandoned op writes into the abandoned buffer, never into w.
