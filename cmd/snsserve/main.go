@@ -82,7 +82,7 @@ func main() {
 	flag.IntVar(&cfg.parallelism, "parallelism", 0, "row-solve workers per stream; 0 or 1 is sequential (bit-identical either way)")
 	flag.IntVar(&cfg.mailbox, "mailbox", 256, "per-stream mailbox capacity in batches")
 	flag.StringVar(&cfg.backpressure, "backpressure", "block", "full-mailbox policy: block, drop-oldest, or error")
-	flag.IntVar(&cfg.publishEvery, "publish-every", 256, "events between snapshot publishes")
+	flag.IntVar(&cfg.publishEvery, "publish-every", 256, "applied events between full snapshot publishes, the ones that recompute fitness")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: per-stream WAL + background checkpoints, crash recovery on boot")
 	flag.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy with -data-dir: always, interval, or never")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")

@@ -302,6 +302,9 @@ type shardDur struct {
 	wal  *wal.Log
 	opts DurabilityOptions
 	buf  []byte // record-encode scratch, writer-owned
+	// accepted is the writer-owned scratch logBatch compacts a batch's
+	// accepted events into when some of them will be rejected.
+	accepted []Event
 
 	// walStats receives the log's counters (the same instance the wal.Log
 	// records into); ckptStats the background checkpointer's. recoverNanos
@@ -500,10 +503,11 @@ func readZigzag(src []byte) (int64, int) {
 	return int64(u>>1) ^ -int64(u&1), n
 }
 
-// encodeBatchRecord serializes a raw ingest batch — including events that
-// validation will reject, so replay reproduces the original application
-// byte for byte — into dst[:0] and returns it. The encoding is a compact
-// varint form, allocation-free once dst has warmed to batch size.
+// encodeBatchRecord serializes an ingest batch into dst[:0] and returns
+// it. The writer passes only the events the tracker will accept (see
+// shard.logBatch), so a rejected event never reaches the log. The
+// encoding is a compact varint form, allocation-free once dst has warmed
+// to batch size.
 func encodeBatchRecord(dst []byte, events []Event) []byte {
 	dst = append(dst[:0], recBatch)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
@@ -713,10 +717,11 @@ func (e *Engine) crash() {
 
 // applyRecord replays one WAL record onto a tracker and returns how many
 // events it applied (for publish/checkpoint cadence on replicas).
-// Application errors (rejected events, a stale advance, a redundant
-// start) are deliberately ignored: the original writer logged the record
-// before applying it and hit the same deterministic outcome, so the
-// replayed state matches the original either way. Only a malformed
+// Application errors (a stale advance, a redundant start, or a rejected
+// event in a log written before the writer validated batches ahead of
+// logging them) are deliberately ignored: the original writer logged the
+// record before applying it and hit the same deterministic outcome, so
+// the replayed state matches the original either way. Only a malformed
 // record — which the original writer could never have produced — is an
 // error.
 func applyRecord(tr *Tracker, payload []byte) (int, error) {

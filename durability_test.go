@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -826,5 +827,102 @@ func TestAddStreamWipesDebrisDirectory(t *testing.T) {
 	defer e2.Close()
 	if snap, err := e2.Snapshot(name); err != nil || snap.Started {
 		t.Fatalf("recovered reborn stream wrong: %+v err %v", snap, err)
+	}
+}
+
+// A batch mixing valid events with stale, out-of-range, wrong-arity and
+// non-finite ones is validated before it is logged: the WAL holds only the
+// accepted events, so replaying it rejects nothing, and recovery from the
+// WAL alone is bit-identical to the live tracker.
+func TestWALLogsOnlyAcceptedEvents(t *testing.T) {
+	dir := t.TempDir()
+	opts := durTestOptions(dir, FsyncNever)
+	opts.Durability.CheckpointEvery = 1 << 30 // recovery replays the whole WAL
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := durTestConfig(SNSRndPlus, 5)
+	st, err := e.AddStream("s", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// genDurOps already mixes in out-of-range, wrong-arity and stale
+	// events; add non-finite values and a stale event that is stale only
+	// against the clock the same batch moved.
+	ops := genDurOps(rand.New(rand.NewSource(5)), cfg.Dims, 60, 120)
+	applyOpsToStream(t, st, ops)
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	now := st.Snapshot().Now
+	mixed := []Event{
+		{Coord: []int{1, 1}, Value: 2, Time: now},
+		{Coord: []int{1, 1}, Value: math.NaN(), Time: now},
+		{Coord: []int{1, 1}, Value: math.Inf(-1), Time: now},
+		{Coord: []int{9, 1}, Value: 1, Time: now},
+		{Coord: []int{1}, Value: 1, Time: now},
+		{Coord: []int{2, 3}, Value: 1, Time: now + 2},
+		{Coord: []int{0, 0}, Value: 1, Time: now + 1},
+		{Coord: []int{4, 0}, Value: 3, Time: now + 2},
+	}
+	allBad := []Event{{Coord: []int{0, 0}, Value: math.Inf(1), Time: now + 2}}
+	for _, b := range [][]Event{mixed, allBad} {
+		if err := st.PushBatch(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	if snap.IngestErrors == 0 || snap.LastBatchRejected != 1 {
+		t.Fatalf("live path hid its rejections: ingestErrors=%d lastBatchRejected=%d", snap.IngestErrors, snap.LastBatchRejected)
+	}
+	live := streamCheckpointBytes(t, st)
+	e.crash() // no shutdown checkpoint: recovery must come from the WAL
+
+	ref, err := New(cfg.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	walDir := filepath.Join(streamsRoot(dir), encodeStreamDir("s"), "wal")
+	if _, err := wal.Replay(walDir, 0, func(lsn uint64, payload []byte) error {
+		records++
+		if payload[0] != recBatch {
+			_, err := applyRecord(ref, payload)
+			return err
+		}
+		events, err := decodeBatchRecord(payload[1:])
+		if err != nil {
+			return err
+		}
+		if _, err := ref.PushBatch(events); err != nil {
+			t.Errorf("replaying record %d: %v", lsn, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records != len(ops)+2 {
+		t.Fatalf("WAL holds %d records for %d messages, want one each", records, len(ops)+2)
+	}
+	if !bytes.Equal(checkpointBytes(t, ref), live) {
+		t.Fatal("replaying the logged events differs from the live tracker")
+	}
+
+	e2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	st2, err := e2.Stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamCheckpointBytes(t, st2), live) {
+		t.Fatal("recovered state differs from the live tracker")
 	}
 }

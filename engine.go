@@ -19,9 +19,10 @@ import (
 // tenant — behind a single API. Each shard is driven by a dedicated
 // single-writer goroutine fed from a bounded mailbox, which preserves the
 // sequential per-stream update order the continuous tensor model requires
-// while letting shards run fully in parallel. The writer periodically
-// publishes an immutable Snapshot, so reads (Snapshot, Predict, Streams)
-// are wait-free and never touch the ingestion hot path.
+// while letting shards run fully in parallel. The writer publishes an
+// immutable Snapshot every PublishEvery applied events and, on a started
+// stream, whenever its mailbox runs dry, so reads (Snapshot, Predict,
+// Streams) are wait-free and never touch the ingestion hot path.
 //
 // The primary client surface is the *Stream handle: AddStream and Stream
 // return one, and its methods pin the shard once so the per-call cost is
@@ -87,10 +88,14 @@ type StreamConfig struct {
 	// Backpressure selects the full-mailbox behaviour (default
 	// BackpressureBlock).
 	Backpressure Backpressure
-	// PublishEvery is how many applied events may elapse between
-	// snapshot publishes (default 256). Smaller values give fresher
-	// reads; larger ones amortize the O(nnz) fitness recomputation over
-	// more updates.
+	// PublishEvery is how many applied events may elapse between full
+	// snapshot publishes, the ones that recompute the O(nnz) Fitness
+	// (default 256). A started stream also republishes its counts and
+	// factors whenever the writer's mailbox runs dry. PublishEvery thus
+	// bounds how far Fitness trails the factors; it bounds the factors'
+	// own staleness only under a sustained backlog, when the mailbox
+	// never runs dry. Smaller values give fresher fitness; larger ones
+	// amortize its recomputation over more updates.
 	PublishEvery int
 	// RateLimit caps admitted ingest at this many events per second via
 	// a token bucket checked in PushBatch, before the mailbox. Offered
@@ -161,6 +166,13 @@ type Event struct {
 // Snapshot is the immutable published view of one shard. Readers get a
 // value copy; the Factors pointer (and Dims slice) are shared but never
 // mutated after publish.
+//
+// On a started stream Now, Events, NNZ and Factors are current as of the
+// writer's last idle moment (its mailbox running dry), or at most
+// PublishEvery applied events old under a sustained backlog. Fitness is
+// recomputed only by a full publish — every PublishEvery applied events
+// and on Start, AdvanceTo, Flush and shutdown — so it describes a model
+// fewer than PublishEvery events older than Factors.
 type Snapshot struct {
 	Stream    string   `json:"stream"`
 	Now       int64    `json:"streamNow"`
@@ -177,7 +189,7 @@ type Snapshot struct {
 	// LastError is the most recent per-event ingestion error of the
 	// current publish interval (errored batches refresh it immediately,
 	// so it is visible even on a stream whose events are all rejected).
-	// Each model publish closes the interval and clears it, so a healthy
+	// Each full publish closes the interval and clears it, so a healthy
 	// stream stops reporting a long-gone error after at most one
 	// interval; ErrorsSincePublish says how many rejections the interval
 	// has seen.
@@ -303,6 +315,11 @@ type shard struct {
 	walErr error
 	//sns:writer-only
 	sinceCkpt int
+	// modelDirty records that events were applied since the factors were
+	// last copied into a snapshot; the idle republish fires only then.
+	//
+	//sns:writer-only
+	modelDirty bool
 }
 
 // NewEngine returns an empty engine. Add streams with AddStream.
@@ -587,8 +604,8 @@ func (e *Engine) FlushAll(ctx context.Context) error {
 
 // Snapshot returns the named stream's current published view, with live
 // queue counters stamped in. It is wait-free with respect to the shard
-// writer. Model fields (Fitness, Factors) are at most PublishEvery
-// events stale.
+// writer. Factors are current as of the writer's last idle moment and
+// Fitness trails them by fewer than PublishEvery events (see Snapshot).
 func (e *Engine) Snapshot(name string) (Snapshot, error) {
 	s, err := e.shard(name)
 	if err != nil {
@@ -669,8 +686,9 @@ func (s *shard) admissionReport() *metrics.AdmissionReport {
 
 // Predict evaluates the named stream's published model at categorical
 // coordinates and a time-mode index in [0, W). Like Snapshot it is
-// wait-free and reflects the last published factors. Before the warm
-// start it returns ErrNotStarted.
+// wait-free and reflects the last published factors, which are current
+// as of the writer's last idle moment. Before the warm start it returns
+// ErrNotStarted.
 func (e *Engine) Predict(name string, coord []int, timeIdx int) (float64, error) {
 	s, err := e.shard(name)
 	if err != nil {
@@ -735,17 +753,6 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 //lint:ignore ctxfirst Close satisfies io.Closer, which has no context; Shutdown is the context-first form
 func (e *Engine) Close() error { return e.Shutdown(context.Background()) }
 
-// handle runs on the shard's writer goroutine — the only place s.tr is
-// touched after spawn.
-//
-// On a durable engine every state-changing message is appended to the
-// shard's WAL before it is applied (write-ahead with respect to both the
-// tracker and any checkpoint capture, which also happen on this
-// goroutine). The append goes into a writer-owned buffer — no lock, no
-// syscall, no allocation in steady state — and reaches the OS at group-
-// commit points: when the mailbox runs dry (end of a drain burst) and
-// before any control acknowledgement, with fsync per the configured
-// policy.
 // handleBatch is the data-plane path of the writer loop: one mailbox
 // batch logged, applied, and accounted. Split from handle so the 0-alloc
 // contract is scoped to the path that runs per batch, not the per-stream
@@ -782,6 +789,9 @@ func (s *shard) handleBatch(msg shardMsg) {
 	// Only applied events advance the publish clock: a stream of
 	// rejected events must not trigger the O(nnz) fitness recompute.
 	s.sincePublish += applied
+	if applied > 0 {
+		s.modelDirty = true
+	}
 	if s.sincePublish >= s.cfg.PublishEvery {
 		//lint:ignore hotpath amortized: one snapshot allocation per PublishEvery applied events
 		s.publish()
@@ -796,25 +806,41 @@ func (s *shard) handleBatch(msg shardMsg) {
 	}
 }
 
+// handle runs on the shard's writer goroutine — the only place s.tr is
+// touched after spawn.
+//
+// On a durable engine every state-changing message is appended to the
+// shard's WAL before it is applied (write-ahead with respect to both the
+// tracker and any checkpoint capture, which also happen on this
+// goroutine). The append goes into a writer-owned buffer — no lock, no
+// syscall, no allocation in steady state — and reaches the OS at group-
+// commit points: when the mailbox runs dry (end of a drain burst) and
+// before any control acknowledgement, with fsync per the configured
+// policy.
+//
+// After every message the writer republishes the model if it has gone
+// idle (see maybePublishIdle), before answering a control message, so a
+// reply implies everything applied so far is visible to readers.
+//
 //sns:writer
 func (s *shard) handle(msg shardMsg) {
+	var err error
 	switch msg.op {
 	case opBatch:
 		s.handleBatch(msg)
 	case opStart:
 		s.logRecord([]byte{recStart})
-		err := s.tr.Start()
+		err = s.tr.Start()
 		s.commit()
 		s.noteApplied()
 		if err == nil {
 			s.publish()
 		}
-		msg.done <- err
 	case opAdvance:
 		if s.dur != nil {
 			s.logRecord(appendZigzag(append(s.dur.buf[:0], recAdvance), msg.tm))
 		}
-		err := s.tr.AdvanceTo(msg.tm)
+		err = s.tr.AdvanceTo(msg.tm)
 		s.commit()
 		s.noteApplied()
 		if err == nil {
@@ -824,37 +850,56 @@ func (s *shard) handle(msg shardMsg) {
 			// ErrorsSincePublish, which tracks rejected *events* only.
 			s.lastErr = err.Error()
 		}
-		msg.done <- err
 	case opFlush:
 		// Flush doubles as the durability barrier: everything applied so
 		// far is forced to stable storage regardless of fsync policy, and
 		// a failed (or already-latched-broken) barrier is an error — a
 		// nil reply here is a durability promise.
-		var ferr error
 		if s.dur != nil && !s.dur.crashed.Load() {
 			if s.walErr == nil {
-				if err := s.dur.wal.Sync(); err != nil {
-					s.walErr = err
+				if serr := s.dur.wal.Sync(); serr != nil {
+					s.walErr = serr
 				}
 			}
 			if s.walErr != nil {
-				ferr = fmt.Errorf("%w: %v", ErrDurability, s.walErr)
+				err = fmt.Errorf("%w: %v", ErrDurability, s.walErr)
 			}
 		}
 		s.publish()
-		msg.done <- ferr
 	case opCheckpoint:
 		if msg.lsn != nil {
 			*msg.lsn = s.nextLSN()
 		}
-		msg.done <- s.tr.Checkpoint(msg.w)
+		err = s.tr.Checkpoint(msg.w)
 	case opObserved:
-		v, err := s.tr.Observed(msg.coord, msg.idx)
-		*msg.val = v
-		msg.done <- err
+		*msg.val, err = s.tr.Observed(msg.coord, msg.idx)
 	case opReplApply:
-		msg.done <- s.applyRepl(msg.first, msg.recs)
+		err = s.applyRepl(msg.first, msg.recs)
 	}
+	s.maybePublishIdle()
+	if msg.done != nil {
+		msg.done <- err
+	}
+}
+
+// maybePublishIdle republishes a started stream's counts and factors when
+// the writer has gone idle — its mailbox ran dry, the same point where it
+// group-commits the WAL — and events were applied since the factors were
+// last copied. It runs after every message, not only after batches:
+// control messages such as a predict reader's Observed arrive mid-burst
+// and would otherwise keep the mailbox non-empty at the batch ends.
+// Fitness is inherited, so the O(nnz) recomputation stays on the
+// PublishEvery cadence; what an idle moment pays is the counts plus one
+// factor copy.
+//
+//sns:hotpath
+//sns:writer
+func (s *shard) maybePublishIdle() {
+	if !s.modelDirty || !s.tr.Started() || s.mb.Len() > 0 {
+		return
+	}
+	//lint:ignore hotpath amortized: at most one snapshot (a factor copy, no fitness) per drain burst
+	s.publishIdle()
 }
 
 // applyRepl appends and applies one replication chunk — raw WAL record
@@ -891,6 +936,9 @@ func (s *shard) applyRepl(first uint64, recs [][]byte) error {
 			return err
 		}
 		applied += n
+		if n > 0 {
+			s.modelDirty = true
+		}
 		// Start/advance records publish unconditionally on the leader
 		// (they change Started/window state without counting as events),
 		// so the replica must republish too or its snapshot goes stale.
@@ -938,15 +986,24 @@ func (s *shard) nextLSN() uint64 {
 	return s.dur.wal.NextLSN()
 }
 
-// logBatch appends a batch record, encoding into the shard's reusable
-// scratch. Writer goroutine only; no-op when not durable.
+// logBatch appends a batch record of the events the tracker will accept,
+// encoding into the shard's reusable scratch. Validating before logging
+// keeps a stale, out-of-range or non-finite event out of the WAL, so it
+// is never shipped to followers or re-rejected on replay. A batch with no
+// rejection is encoded as is. An all-rejected batch still logs an empty
+// record, so every state-changing message keeps exactly one LSN. Writer
+// goroutine only; no-op when not durable.
 //
 //sns:writer
 func (s *shard) logBatch(events []Event) {
 	if s.dur == nil {
 		return
 	}
-	s.dur.buf = encodeBatchRecord(s.dur.buf, events)
+	accepted := s.tr.acceptedEvents(s.dur.accepted, events)
+	if len(accepted) < len(events) {
+		s.dur.accepted = accepted[:0] // keep the grown scratch
+	}
+	s.dur.buf = encodeBatchRecord(s.dur.buf, accepted)
 	s.logRecord(s.dur.buf)
 }
 
@@ -1109,6 +1166,23 @@ func (s *shard) publish() {
 	s.sincePublish = 0
 	s.errsSince = 0
 	s.lastErr = ""
+	s.modelDirty = false
+}
+
+// publishIdle is the cheap model publish of an idle writer: fresh counts
+// and a fresh factor copy, with Fitness inherited from the last full
+// publish. It counts as a publish (Stats.Publishes, the publish-lag clock)
+// but leaves the fitness cadence (sincePublish) and the per-interval
+// error state alone — only a full publish recomputes the one and closes
+// the other.
+//
+//sns:writer
+func (s *shard) publishIdle() {
+	snap := s.refreshed()
+	snap.Factors = s.tr.Factors()
+	s.pub.Publish(snap)
+	s.stats.RecordPublish()
+	s.modelDirty = false
 }
 
 // publishErrState refreshes the published snapshot's cheap fields and
@@ -1118,7 +1192,13 @@ func (s *shard) publish() {
 // state — a subsequent full publish still closes the interval.
 //
 //sns:writer
-func (s *shard) publishErrState() {
+func (s *shard) publishErrState() { s.pub.Publish(s.refreshed()) }
+
+// refreshed copies the published snapshot with its clock, counts and
+// error state brought up to date; the model fields are inherited.
+//
+//sns:writer
+func (s *shard) refreshed() *Snapshot {
 	snap := *s.pub.Load()
 	snap.Now = s.tr.Now()
 	snap.Events = s.tr.Events()
@@ -1127,7 +1207,7 @@ func (s *shard) publishErrState() {
 	snap.ErrorsSincePublish = uint64(s.errsSince)
 	snap.LastBatchRejected = s.lastBatchRejected
 	snap.DurabilityError = s.durErrString()
-	s.pub.Publish(&snap)
+	return &snap
 }
 
 // durErrString folds the writer-latched WAL error and the background

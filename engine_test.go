@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,6 +379,76 @@ func TestEngineRejectedEventsDoNotCountTowardPublish(t *testing.T) {
 	drain(t, e, "s")
 	if got := mustSnap(t, e, "s").Stats.Publishes; got <= basePub {
 		t.Fatal("applied events did not trigger a publish")
+	}
+}
+
+// On a started stream the writer republishes counts and factors as soon
+// as it goes idle, without waiting for PublishEvery applied events or a
+// Flush. Fitness stays the last full publish's value until the next full
+// publish recomputes it.
+func TestEngineIdleRepublish(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	cfg := validStreamConfig()
+	cfg.PublishEvery = 1 << 30
+	st, err := e.AddStream("s", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	// push feeds the engine and the reference tracker the same events.
+	push := func(events []Event) {
+		t.Helper()
+		ref.PushBatch(events)
+		if err := st.PushBatch(bg, append([]Event(nil), events...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	fill := make([]Event, 50)
+	tm := int64(0)
+	for i := range fill {
+		tm += int64(rng.Intn(2))
+		fill[i] = Event{Coord: []int{rng.Intn(5), rng.Intn(4)}, Value: 1, Time: tm}
+	}
+	push(fill)
+	if err := st.Start(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Start(); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Snapshot()
+
+	push([]Event{{Coord: []int{1, 2}, Value: 3, Time: tm}, {Coord: []int{4, 0}, Value: 2, Time: tm + 1}})
+	drain(t, e, "s")
+	snap := st.Snapshot()
+	if snap.Events != ref.Events() || snap.Now != ref.Now() || snap.NNZ != ref.NNZ() {
+		t.Fatalf("idle snapshot events/now/nnz = %d/%d/%d, tracker %d/%d/%d",
+			snap.Events, snap.Now, snap.NNZ, ref.Events(), ref.Now(), ref.NNZ())
+	}
+	if reflect.DeepEqual(snap.Factors, before.Factors) {
+		t.Fatal("idle snapshot kept the pre-batch factors")
+	}
+	if !reflect.DeepEqual(snap.Factors, ref.Factors()) {
+		t.Fatal("idle snapshot factors differ from the tracker's")
+	}
+	if math.Float64bits(snap.Fitness) != math.Float64bits(before.Fitness) {
+		t.Fatalf("idle republish changed fitness %v → %v; only a full publish recomputes it", before.Fitness, snap.Fitness)
+	}
+	if snap.Stats.Publishes != before.Stats.Publishes+1 {
+		t.Fatalf("publishes %d → %d, want one idle republish", before.Stats.Publishes, snap.Stats.Publishes)
+	}
+
+	if err := st.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Snapshot().Fitness; math.Float64bits(got) != math.Float64bits(ref.Fitness()) {
+		t.Fatalf("fitness after Flush = %v, tracker %v", got, ref.Fitness())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -164,6 +165,70 @@ func TestFollowerConvergesBitIdentical(t *testing.T) {
 	}
 	if lv != fv {
 		t.Fatalf("follower predicts %v, leader %v", fv, lv)
+	}
+}
+
+// A follower republishes its model when its writer goes idle, just as the
+// leader does: with fitness publishes effectively off, its snapshot still
+// reaches the leader's event count and factors without a Flush.
+func TestFollowerSnapshotFreshWithoutFlush(t *testing.T) {
+	cfg := durTestConfig(SNSVecPlus, 13)
+	cfg.PublishEvery = 1 << 30
+	ops := genDurOps(rand.New(rand.NewSource(13)), cfg.Config.Dims, 90, 220)
+
+	leader, err := Open(durTestOptions(t.TempDir(), FsyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	st, err := leader.AddStream("s", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(ops) / 2
+	applyOpsToStream(t, st, ops[:half])
+	ts := leaderServer(t, leader)
+	follower, err := Open(followerOptions(t.TempDir(), ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	// Let the follower bootstrap and start tailing, so the rest of the
+	// history reaches it through replication applies.
+	if err := st.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, follower, "s", st.Snapshot().AppliedLSN)
+	// Batches only: a replicated advance record forces a full publish,
+	// which would make the follower fresh without the idle republish.
+	var batches []durOp
+	for _, op := range ops[half:] {
+		if op.kind == recBatch {
+			batches = append(batches, op)
+		}
+	}
+	applyOpsToStream(t, st, batches)
+	if err := st.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := st.Snapshot()
+	if !want.Started {
+		t.Fatal("leader stream not started")
+	}
+
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		snap, err := follower.Snapshot("s")
+		if err == nil && snap.Events == want.Events {
+			if !reflect.DeepEqual(snap.Factors, want.Factors) {
+				t.Fatal("follower factors differ from the leader's at the same event count")
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower snapshot never reached the leader's %d events: %d (%v)", want.Events, snap.Events, err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -230,20 +230,59 @@ func (t *Tracker) checkCoord(coord []int) error {
 	return nil
 }
 
-// pushOne is the per-event core shared by Push and PushBatch — validate,
-// drain due scheduled events, ingest, apply — so the two ingestion paths
-// cannot diverge. Allocation-free in steady state.
+// checkEvent is every check pushOne makes before it touches state —
+// arity and range, value, and time against the stream clock now — so the
+// engine's validate-before-log pass and the apply path cannot disagree.
 //
 //sns:hotpath
-func (t *Tracker) pushOne(coord []int, value float64, tm int64) error {
+func (t *Tracker) checkEvent(coord []int, value float64, tm, now int64) error {
 	if err := t.checkCoord(coord); err != nil {
 		return err
 	}
 	if err := checkValue(value); err != nil {
 		return err
 	}
-	if tm < t.win.Now() {
-		return staleErr(tm, t.win.Now())
+	if tm < now {
+		return staleErr(tm, now)
+	}
+	return nil
+}
+
+// acceptedEvents returns the events of a batch that PushBatch would
+// accept, in order, without changing any state: it runs checkEvent
+// against a running stream clock. A batch with no rejection comes back as
+// events itself, copying nothing; otherwise the accepted events are
+// appended to dst[:0].
+//
+//sns:hotpath
+func (t *Tracker) acceptedEvents(dst, events []Event) []Event {
+	now := t.win.Now()
+	for i := range events {
+		ev := &events[i]
+		if t.checkEvent(ev.Coord, ev.Value, ev.Time, now) != nil {
+			dst = append(dst[:0], events[:i]...)
+			for j := i + 1; j < len(events); j++ {
+				ev := &events[j]
+				if t.checkEvent(ev.Coord, ev.Value, ev.Time, now) == nil {
+					dst = append(dst, *ev)
+					now = ev.Time
+				}
+			}
+			return dst
+		}
+		now = ev.Time // an accepted event moves the clock to its time
+	}
+	return events
+}
+
+// pushOne is the per-event core shared by Push and PushBatch — validate,
+// drain due scheduled events, ingest, apply — so the two ingestion paths
+// cannot diverge. Allocation-free in steady state.
+//
+//sns:hotpath
+func (t *Tracker) pushOne(coord []int, value float64, tm int64) error {
+	if err := t.checkEvent(coord, value, tm, t.win.Now()); err != nil {
+		return err
 	}
 	t.win.AdvanceTo(tm, t.apply)
 	if ch, ok := t.win.Ingest(stream.Tuple{Coord: coord, Value: value, Time: tm}); ok && t.apply != nil {
@@ -499,13 +538,20 @@ func (t *Tracker) Factors() *Factors {
 		return nil
 	}
 	m := t.dec.Model()
-	out := &Factors{Lambda: append([]float64(nil), m.Lambda...)}
-	for _, f := range m.Factors {
+	out := &Factors{
+		Matrices: make([][][]float64, len(m.Factors)),
+		Lambda:   append([]float64(nil), m.Lambda...),
+	}
+	for k, f := range m.Factors {
+		// One backing array per mode; the full slice expression caps each
+		// row at R, so an append to one row cannot overwrite the next.
+		b := append([]float64(nil), f.Data()...)
+		r := f.Cols()
 		rows := make([][]float64, f.Rows())
 		for i := range rows {
-			rows[i] = append([]float64(nil), f.Row(i)...)
+			rows[i] = b[i*r : (i+1)*r : (i+1)*r]
 		}
-		out.Matrices = append(out.Matrices, rows)
+		out.Matrices[k] = rows
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package slicenstitch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -160,7 +161,7 @@ func TestPredictAndObserved(t *testing.T) {
 
 func TestFactorsSnapshot(t *testing.T) {
 	tr, _ := New(validConfig())
-	fill(t, tr, 50, 4)
+	last := fill(t, tr, 50, 4)
 	tr.Start()
 	f := tr.Factors()
 	if f == nil {
@@ -181,6 +182,48 @@ func TestFactorsSnapshot(t *testing.T) {
 	if g.Matrices[0][0][0] == 12345 {
 		t.Error("Factors snapshot aliases live model")
 	}
+	// Each mode is one backing array cut into rows capped at R, so an
+	// append to one row reallocates instead of overwriting the next.
+	for m, rows := range g.Matrices {
+		for i, row := range rows {
+			if len(row) != 3 || cap(row) != 3 {
+				t.Fatalf("mode %d row %d: len %d cap %d, want 3 and 3", m, i, len(row), cap(row))
+			}
+		}
+	}
+	next := g.Matrices[0][1][0]
+	_ = append(g.Matrices[0][0], 99)
+	if g.Matrices[0][1][0] != next {
+		t.Error("append to a row overwrote the next row")
+	}
+	// Mutating the tracker must not touch the copy.
+	want := deepCopyFactors(g)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 40; i++ {
+		last += int64(rng.Intn(2))
+		if err := tr.Push([]int{rng.Intn(5), rng.Intn(4)}, float64(1+rng.Intn(3)), last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reflect.DeepEqual(tr.Factors(), want) {
+		t.Fatal("pushing events did not change the model")
+	}
+	if !reflect.DeepEqual(g, want) {
+		t.Error("Factors copy changed when the tracker moved on")
+	}
+}
+
+// deepCopyFactors copies f row by row, sharing nothing with it.
+func deepCopyFactors(f *Factors) *Factors {
+	out := &Factors{Lambda: append([]float64(nil), f.Lambda...)}
+	for _, rows := range f.Matrices {
+		cp := make([][]float64, len(rows))
+		for i, row := range rows {
+			cp[i] = append([]float64(nil), row...)
+		}
+		out.Matrices = append(out.Matrices, cp)
+	}
+	return out
 }
 
 func TestAllAlgorithmsRun(t *testing.T) {

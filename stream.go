@@ -123,8 +123,8 @@ func (st *Stream) Flush(ctx context.Context) error {
 
 // Snapshot returns the stream's current published view with live queue
 // counters stamped in — wait-free with respect to the shard writer.
-// Model fields (Fitness, Factors) are at most PublishEvery events stale.
-// It keeps working after the stream is stopped, serving the last
+// Factors are current as of the writer's last idle moment and Fitness
+// trails them by fewer than PublishEvery events (see Snapshot). It keeps working after the stream is stopped, serving the last
 // published state.
 func (st *Stream) Snapshot() Snapshot { return st.sh.read() }
 
